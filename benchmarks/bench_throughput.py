@@ -1,4 +1,4 @@
-"""Scan-phase throughput: batched scans, index backends, block-parallel.
+"""Scan-phase throughput: batched scans, the subset index, block-parallel.
 
 Isolates the *scan phase* of the boosted pipeline — Merge (Algorithm 1)
 runs once, outside the timed region, then each host's ``run_phase`` is
@@ -10,15 +10,15 @@ timed repeatedly with a fresh container per repeat:
   ``SubsetContainer(memoize=False)``;
 - **batched**: memoized queries, cached contiguous candidate blocks and
   SDI's incrementally maintained sorted views;
-- **flat vs map**: the batched scan on both subset-index backends — the
-  map prefix tree versus :class:`~repro.core.flat_index.FlatSubsetIndex`'s
-  vectorised struct-of-arrays filter.
+- **flat vs map**: the batched scan on the struct-of-arrays
+  :class:`~repro.core.subset_index.SkylineIndex` against recorded
+  batched map-index (Figure 3 tree) baseline times.
 
 Every pair of paths must produce the identical skyline and charge the
 identical dominance-test count — the script exits non-zero otherwise, so
 it doubles as an equivalence gate.  The ``block_parallel`` scenario runs
 the engine's prune-aware block-parallel plan (sort-order partitioning,
-shared-survivor prefix exchange, seeded merge) against the serial flat
+shared-survivor prefix exchange, seeded merge) against the serial
 scan under two gates: a deterministic dominance-test-ratio gate
 (``PARALLEL_DT_RATIO``, enforced on any host) and the >= 2x wall-clock
 gate, which executes whenever the host has the CPUs and otherwise records
@@ -87,7 +87,7 @@ HOSTS = {
 
 #: Best-of-3 batched map-index scan times recorded by PR 2 on the
 #: canonical cold single-query scenario (UI, n=100k, d=8, seed=0).  The
-#: flat-backend gate (>= 1.5x, geometric mean across hosts) is measured
+#: flat-index gate (>= 1.5x, geometric mean across hosts) is measured
 #: against these fixed baselines so the comparison survives later
 #: map-index improvements.
 PR2_BATCHED_BASELINE_S = {"sdi": 2.168256, "sfs": 2.805391, "salsa": 3.927047}
@@ -168,13 +168,12 @@ def upsert(report: dict, key: str, entry: dict) -> None:
 def plan_fields(plan) -> dict:
     """The executed-plan fields a scenario entry records for trajectory.
 
-    A plan change (different algorithm, backend, or strategy) is the most
+    A plan change (different algorithm or strategy) is the most
     common honest explanation for a wall-time shift, so the regression
     gate surfaces these fields next to any finding.
     """
     return {
         "algorithm": plan.label,
-        "index_backend": plan.index_backend,
         "incremental": bool(plan.incremental),
         "parallel_strategy": plan.parallel_strategy,
         "workers": plan.workers,
@@ -184,9 +183,7 @@ def plan_fields(plan) -> dict:
 # -- scenario: batched vs scalar --------------------------------------------
 
 
-def time_scan_phase(
-    dataset, merged, host_factory, memoize, repeats, index_backend="map"
-):
+def time_scan_phase(dataset, merged, host_factory, memoize, repeats):
     """Best-of-``repeats`` wall clock of one host's scan phase."""
     d = dataset.dimensionality
     masks = np.zeros(dataset.cardinality, dtype=np.int64)
@@ -196,9 +193,7 @@ def time_scan_phase(
     counter = DominanceCounter()
     for _ in range(repeats):
         counter = DominanceCounter()
-        container = SubsetContainer(
-            dataset.values, d, counter, memoize=memoize, backend=index_backend
-        )
+        container = SubsetContainer(dataset.values, d, counter, memoize=memoize)
         host = host_factory()
         start = time.perf_counter()
         skyline = host.run_phase(
@@ -228,7 +223,6 @@ def run_batched_vs_scalar(kind, n, d, seed, repeats):
         # Scan-phase bench, no engine plan: record the equivalent wiring.
         "plan": {
             "algorithm": "scan-phase",
-            "index_backend": "map",
             "incremental": False,
             "parallel_strategy": "none",
             "workers": 1,
@@ -270,16 +264,17 @@ def run_batched_vs_scalar(kind, n, d, seed, repeats):
     return (dataset, merged), report, ok
 
 
-# -- scenario: flat vs map index backend ------------------------------------
+# -- scenario: flat index vs the recorded map-index baselines ---------------
 
 
 def run_flat_vs_map(prepared_pair, kind, n, d, seed, repeats):
-    """Cold single-query scan phase on both subset-index backends.
+    """Cold single-query scan phase on the subset index.
 
     Gate: on the canonical configuration, the geometric mean across hosts
     of (PR 2 batched map baseline / flat time) must reach
-    ``FLAT_GATE_SPEEDUP``; identical skylines and charged dominance tests
-    are required on every configuration.
+    ``FLAT_GATE_SPEEDUP``.  On every configuration the memoized scan must
+    reproduce the unmemoized reference scan (one untimed repeat) bit for
+    bit: identical skyline and charged dominance tests.
     """
     dataset, merged = prepared_pair
     canonical = (kind, n, d, seed) == PR2_BASELINE_CONFIG
@@ -290,7 +285,6 @@ def run_flat_vs_map(prepared_pair, kind, n, d, seed, repeats):
         # Scan-phase bench, no engine plan: record the equivalent wiring.
         "plan": {
             "algorithm": "scan-phase",
-            "index_backend": "flat",
             "incremental": False,
             "parallel_strategy": "none",
             "workers": 1,
@@ -299,33 +293,21 @@ def run_flat_vs_map(prepared_pair, kind, n, d, seed, repeats):
     ok = True
     ratios = []
     for name, (_scalar, batched_factory) in HOSTS.items():
-        map_sky, map_counter, map_s = time_scan_phase(
-            dataset,
-            merged,
-            batched_factory,
-            memoize=True,
-            repeats=repeats,
-            index_backend="map",
+        ref_sky, ref_counter, _ = time_scan_phase(
+            dataset, merged, batched_factory, memoize=False, repeats=1
         )
         flat_sky, flat_counter, flat_s = time_scan_phase(
-            dataset,
-            merged,
-            batched_factory,
-            memoize=True,
-            repeats=repeats,
-            index_backend="flat",
+            dataset, merged, batched_factory, memoize=True, repeats=repeats
         )
         identical = (
-            map_sky == flat_sky and map_counter.tests == flat_counter.tests
+            ref_sky == flat_sky and ref_counter.tests == flat_counter.tests
         )
         ok = ok and identical
         entry = {
-            "map_s": round(map_s, 6),
             "flat_s": round(flat_s, 6),
-            "speedup_vs_map": round(map_s / flat_s, 3) if flat_s else None,
             "skyline_size": len(flat_sky),
             "dominance_tests": flat_counter.tests,
-            "map_dominance_tests": map_counter.tests,
+            "reference_dominance_tests": ref_counter.tests,
             "flat_cache_hits": flat_counter.index_cache_hits,
             "flat_cache_misses": flat_counter.index_cache_misses,
             "identical": identical,
@@ -338,10 +320,9 @@ def run_flat_vs_map(prepared_pair, kind, n, d, seed, repeats):
         report["hosts"][name] = entry
         marker = "" if identical else "  <-- MISMATCH"
         print(
-            f"{name:>6}: map {map_s:8.4f}s  flat {flat_s:8.4f}s  "
-            f"vs-map {entry['speedup_vs_map']:>6}x  "
+            f"{name:>6}: flat {flat_s:8.4f}s"
             + (
-                f"vs-PR2 {entry['speedup_vs_pr2']:>6}x"
+                f"  vs-baseline {entry['speedup_vs_pr2']:>6}x"
                 if "speedup_vs_pr2" in entry
                 else ""
             )
@@ -363,14 +344,14 @@ def run_flat_vs_map(prepared_pair, kind, n, d, seed, repeats):
     return report, gate_ok
 
 
-# -- scenario: block-parallel vs serial flat --------------------------------
+# -- scenario: block-parallel vs serial --------------------------------------
 
 
 def run_block_parallel(kind, n, d, seed, workers, algorithm="sdi-subset"):
-    """Engine block-parallel plan vs the serial flat-backend plan.
+    """Engine block-parallel plan vs the serial plan.
 
-    Both paths pin ``index_backend="flat"``: the serial plan scans through
-    one flat index, the parallel plan partitions along the monotone order,
+    The serial plan scans through one subset index, the parallel plan
+    partitions along the monotone order,
     exchanges the shared-survivor prefix, computes block-local boosted
     skylines on the worker pool and resolves the survivors through a
     seeded merge.  Two gates:
@@ -395,7 +376,6 @@ def run_block_parallel(kind, n, d, seed, workers, algorithm="sdi-subset"):
         dataset,
         algorithm,
         counter=serial_counter,
-        index_backend="flat",
         workers=1,
     )
     serial_s = time.perf_counter() - start
@@ -406,7 +386,6 @@ def run_block_parallel(kind, n, d, seed, workers, algorithm="sdi-subset"):
         dataset,
         algorithm,
         counter=parallel_counter,
-        index_backend="flat",
         workers=workers,
     )
     parallel_s = time.perf_counter() - start
@@ -463,7 +442,7 @@ def run_block_parallel(kind, n, d, seed, workers, algorithm="sdi-subset"):
         )
     marker = "" if identical else "  <-- MISMATCH"
     print(
-        f"block-parallel: serial-flat {serial_s:8.4f}s  "
+        f"block-parallel: serial {serial_s:8.4f}s  "
         f"x{workers} workers {parallel_s:8.4f}s  "
         f"speedup {report['speedup']:>6}x  (cpus={cpus}){marker}"
     )
@@ -638,7 +617,7 @@ def run_incremental_repair(kind, n, d, seed, explain_analyze=False):
       delta logged) followed by an adaptive execution, which must plan the
       ``incremental-repair`` variant and replay the delta log;
     - **full**: ``apply_delta(mode="recompute")`` (full invalidation)
-      followed by the pinned flat-index ``sdi-subset`` execution.
+      followed by the pinned ``sdi-subset`` execution.
 
     Bit-identical skyline ids are enforced on every configuration and
     decide the exit code.  The >= ``INCREMENTAL_GATE_SPEEDUP`` x wall gate
@@ -655,8 +634,8 @@ def run_incremental_repair(kind, n, d, seed, explain_analyze=False):
 
     inc_engine = SkylineEngine()
     full_engine = SkylineEngine()
-    inc_engine.execute(dataset, index_backend="flat", workers=1)
-    full_engine.execute(dataset, "sdi-subset", index_backend="flat")
+    inc_engine.execute(dataset, workers=1)
+    full_engine.execute(dataset, "sdi-subset")
 
     # Warm mutation cycle (untimed): the scenario's claim is about
     # steady-state repair, so the one-time bootstrap of the replay stream
@@ -671,7 +650,7 @@ def run_incremental_repair(kind, n, d, seed, explain_analyze=False):
     full_engine.apply_delta(
         dataset, inserts=warm_inserts, deletes=warm_deletes, mode="recompute"
     )
-    full_engine.execute(dataset, "sdi-subset", index_backend="flat")
+    full_engine.execute(dataset, "sdi-subset")
 
     inc_counter = DominanceCounter()
     start = time.perf_counter()
@@ -693,7 +672,7 @@ def run_incremental_repair(kind, n, d, seed, explain_analyze=False):
         mode="recompute",
     )
     full_result = full_engine.execute(
-        dataset, "sdi-subset", counter=full_counter, index_backend="flat"
+        dataset, "sdi-subset", counter=full_counter
     )
     full_s = time.perf_counter() - start
 
@@ -896,8 +875,8 @@ def main(argv=None):
         )
         if not flat_ok:
             failures.append(
-                "flat backend diverged from the map index or missed the "
-                f"{FLAT_GATE_SPEEDUP}x gate"
+                "memoized index scan diverged from the unmemoized reference "
+                f"or missed the {FLAT_GATE_SPEEDUP}x gate"
             )
 
     if "block_parallel" in selected:

@@ -14,7 +14,7 @@ the engine knows which suppressions were *used*: after the rule pass,
 every ``# noqa: RPRxxx`` must carry a justification after the codes, and
 a suppression whose rule ran but no longer fires on that line is stale.
 Staleness is only judged against rules that actually ran in this
-invocation (a ``--select RPR002`` run cannot call an RPR007 suppression
+invocation (a ``--select RPR002`` run cannot call an RPR005 suppression
 stale), and never against RPR011 itself.
 """
 
@@ -34,7 +34,7 @@ from repro.analysis.report import Finding, Severity
 _NOQA_RE = re.compile(r"#\s*noqa\s*:\s*(?P<codes>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)", re.IGNORECASE)
 
 #: A *suppression comment* for the RPR011 audit: the comment itself starts
-#: with the noqa tag (``# noqa: RPR007 — reason``).  The stricter anchor
+#: with the noqa tag (``# noqa: RPR005 — reason``).  The stricter anchor
 #: keeps prose that merely mentions ``# noqa: ...`` — docstrings are
 #: excluded by tokenization already, but comments talk about noqa too —
 #: from being audited as if it were a live suppression.

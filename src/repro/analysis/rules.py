@@ -21,11 +21,6 @@ depends on for *correctness of its reported numbers*, not just style:
   calls outside ``obs/`` and ``algorithms/base.py``; ad-hoc clocks define
   "elapsed" differently per call site, so measurements flow through
   :mod:`repro.obs.clock` and the tracer instead.
-- **RPR007** — no direct ``SkylineIndex(...)`` / ``FlatSubsetIndex(...)``
-  construction outside ``core/`` and ``engine/``; the container
-  (``SubsetContainer(backend=...)``) is the sanctioned switch point, so a
-  hand-built index silently pins one backend and skips the fused
-  candidate path and its accounting.
 
 RPR008–RPR010 are *project* rules (:class:`ProjectRule`): they run over
 the whole-program model from :mod:`repro.analysis.project` — symbol
@@ -370,47 +365,6 @@ class HandWiredBoost(Rule):
                     "SubsetBoost constructed directly — execute through "
                     "repro.engine.SkylineEngine so Merge results and sort "
                     "orders come from the prepared caches",
-                )
-
-
-#: Index classes RPR007 polices: both subset-index backends.
-_INDEX_CLASSES = ("SkylineIndex", "FlatSubsetIndex")
-
-
-class HandBuiltIndex(Rule):
-    """RPR007: direct subset-index construction outside core/ and engine/."""
-
-    code = "RPR007"
-    name = "hand-built-index"
-    severity = Severity.ERROR
-    description = (
-        "direct SkylineIndex(...)/FlatSubsetIndex(...) construction outside "
-        "core/ and engine/; go through SubsetContainer(backend=...) (or the "
-        "engine) so the backend switch, fused candidate gather and index "
-        "accounting stay wired — suppress deliberate low-level wiring with "
-        "`# noqa: RPR007`"
-    )
-
-    def applies_to(self, module: ModuleInfo) -> bool:
-        path = module.path.resolve().as_posix()
-        if "/repro/core/" in path or "/repro/engine/" in path:
-            return False
-        return super().applies_to(module)
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not self.applies_to(module):
-            return
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and _called_name(node.func) in _INDEX_CLASSES
-            ):
-                yield self.finding(
-                    module,
-                    node.lineno,
-                    f"`{_called_name(node.func)}` constructed directly — use "
-                    "SubsetContainer(backend=...) so map/flat selection stays "
-                    "a one-line switch",
                 )
 
 
@@ -851,7 +805,7 @@ class NoqaHygiene(Rule):
     severity = Severity.ERROR
     description = (
         "every `# noqa: RPRxxx` must carry a justification after the codes "
-        "(`# noqa: RPR007 — bare index is deliberate: ...`), and a "
+        "(`# noqa: RPR005 — low-level wiring is deliberate: ...`), and a "
         "suppression whose rule no longer fires on that line is stale and "
         "must be deleted; unexplained or dead suppressions are exactly the "
         "blanket holes the gate exists to close"
@@ -924,7 +878,6 @@ ALL_RULES: tuple[Rule, ...] = (
     NumpyScalarLeak(),
     HandWiredBoost(),
     RawClockRead(),
-    HandBuiltIndex(),
     CacheCoherence(),
     WorkerSharedState(),
     CounterThreading(),

@@ -1,7 +1,7 @@
 """Project-wide symbol table and import graph for the dataflow rules.
 
 :mod:`repro.analysis.lint` hands each rule one parsed module at a time,
-which is enough for syntactic conventions (RPR001–RPR007) but not for the
+which is enough for syntactic conventions (RPR001–RPR006) but not for the
 interprocedural rules: counter-threading (RPR010) must follow calls across
 modules, and worker-safety (RPR009) must close over everything a worker
 entrypoint can transitively reach.  This module builds the whole-program

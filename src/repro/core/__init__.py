@@ -5,10 +5,9 @@
 - :mod:`repro.core.stability` — the subspace-size histogram and the σ′
   stability measure of Section 4.
 - :mod:`repro.core.merge` — Algorithm 1 (subspace union over pivot points).
-- :mod:`repro.core.subset_index` — Figure 3's map-based prefix tree with
-  Algorithm 2 (``put``) and Algorithms 3/4 (``query``).
-- :mod:`repro.core.flat_index` — the struct-of-arrays backend answering the
-  same subset queries with one vectorised superset pass (Lemma 5.1).
+- :mod:`repro.core.subset_index` — the subset-query index: Algorithm 2
+  (``put``) and Algorithms 3/4 (``query``) as one vectorised superset pass
+  (Lemma 5.1) over a struct-of-arrays layout.
 - :mod:`repro.core.container` — the generic skyline-container abstraction the
   paper proposes, with list-backed and subset-index-backed implementations.
 - :mod:`repro.core.boost` — ``SubsetBoost``: wires Merge + the subset index
@@ -22,7 +21,6 @@
 
 from repro.core.boost import SubsetBoost
 from repro.core.container import ListContainer, SkylineContainer, SubsetContainer
-from repro.core.flat_index import FlatSubsetIndex
 from repro.core.merge import MergeResult, merge
 from repro.core.prefix import (
     block_bounds,
@@ -39,7 +37,6 @@ from repro.core.subspace import (
 )
 
 __all__ = [
-    "FlatSubsetIndex",
     "ListContainer",
     "MergeResult",
     "SkylineContainer",

@@ -26,8 +26,10 @@ from repro.core.container import ListContainer, SkylineContainer, SubsetContaine
 from repro.core.merge import MergeResult, merge
 from repro.core.stability import default_threshold, validate_threshold
 from repro.dataset import Dataset
+from repro.errors import InvalidParameterError
 from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
+from repro.structures import bitset
 
 if TYPE_CHECKING:  # import cycle: algorithms.base imports core.container
     from repro.algorithms.base import SkylineResult
@@ -61,6 +63,21 @@ class BoostableHost(Protocol):
         candidate dominators must come from ``container.candidates``.
         """
         ...
+
+
+def check_mask_dimensionality(d: int, algorithm: str) -> None:
+    """Reject a boosted ``algorithm`` whose subspace masks cannot hold ``d``.
+
+    Merge and the subset index keep masks in ``int64`` arrays, so boosted
+    execution is defined up to :data:`~repro.structures.bitset.MAX_MASK_DIMS`
+    dimensions.
+    """
+    if d > bitset.MAX_MASK_DIMS:
+        raise InvalidParameterError(
+            f"{algorithm!r} needs d <= {bitset.MAX_MASK_DIMS}: subspace masks "
+            f"are int64, got d={d}; run the plain host or let the adaptive "
+            "planner choose"
+        )
 
 
 def run_unboosted_scan(
@@ -104,7 +121,6 @@ def run_boosted_scan(
     memoize: bool = True,
     merged: MergeResult | None = None,
     sort_cache: MutableMapping[str, object] | None = None,
-    index_backend: str = "map",
 ) -> list[int]:
     """The subset-boost wiring: Merge, mask scatter, container, host scan.
 
@@ -116,12 +132,14 @@ def run_boosted_scan(
     same arguments, and its dominance tests are *not* re-charged here.
     ``sort_cache`` is forwarded to hosts that opt in via
     ``supports_sort_cache`` and must be private to one
-    ``(host-configuration, dataset, merged)`` triple.  ``index_backend``
-    selects the subset-index implementation (``"map"``/``"flat"``, see
-    :class:`~repro.core.container.SubsetContainer`); the skyline and the
-    charged dominance tests are identical either way.
+    ``(host-configuration, dataset, merged)`` triple.
+
+    Raises :class:`~repro.errors.InvalidParameterError` before any work
+    when ``d`` exceeds :data:`~repro.structures.bitset.MAX_MASK_DIMS`:
+    the subspace masks cannot hold that many dimensions.
     """
     d = dataset.dimensionality
+    check_mask_dimensionality(d, f"{host.name}-subset")
     if d < 2:
         # No non-trivial subspaces exist; the boost is undefined (the
         # paper starts at d = 2).  Fall back to the plain host.
@@ -142,9 +160,7 @@ def run_boosted_scan(
     masks[merged.remaining_ids] = merged.masks
     store: SkylineContainer
     if container == "subset":
-        store = SubsetContainer(
-            dataset.values, d, counter, memoize=memoize, backend=index_backend
-        )
+        store = SubsetContainer(dataset.values, d, counter, memoize=memoize)
     else:
         # Ablation mode: identical merge phase, plain list store — this
         # isolates the contribution of the subset index (Algs. 2-4)
@@ -158,7 +174,6 @@ def run_boosted_scan(
         points=int(merged.remaining_ids.size),
         boosted=True,
         merge_cached=merge_cached,
-        index_backend=index_backend if container == "subset" else None,
     ):
         if sort_cache is not None and getattr(host, "supports_sort_cache", False):
             scan_skyline = host.run_phase(
@@ -192,11 +207,6 @@ class SubsetBoost:
         scalar reference path: identical skyline and dominance-test
         accounting, used by the differential tests and the throughput
         benchmark baseline.
-    index_backend:
-        ``"map"`` (default) or ``"flat"`` — which subset-index
-        implementation backs the container; results and charged dominance
-        tests are bit-identical (see
-        :class:`~repro.core.flat_index.FlatSubsetIndex`).
 
     >>> from repro.algorithms.sfs import SFS
     >>> from repro.data import generate
@@ -213,7 +223,6 @@ class SubsetBoost:
         container: str = "subset",
         pivot_strategy: str = "euclidean",
         memoize: bool = True,
-        index_backend: str = "map",
     ) -> None:
         if not isinstance(host, BoostableHost):
             raise TypeError(
@@ -221,16 +230,11 @@ class SubsetBoost:
             )
         if container not in ("subset", "list"):
             raise ValueError(f"container must be 'subset' or 'list', got {container!r}")
-        if index_backend not in ("map", "flat"):
-            raise ValueError(
-                f"index_backend must be 'map' or 'flat', got {index_backend!r}"
-            )
         self.host = host
         self.sigma = sigma
         self.container = container
         self.pivot_strategy = pivot_strategy
         self.memoize = memoize
-        self.index_backend = index_backend
         self.name = f"{host.name}-subset"
 
     def compute(
@@ -253,5 +257,4 @@ class SubsetBoost:
             container=self.container,
             pivot_strategy=self.pivot_strategy,
             memoize=self.memoize,
-            index_backend=self.index_backend,
         )

@@ -1,4 +1,4 @@
-"""The map-based subset-query skyline index (Figure 3, Algorithms 2–4).
+"""The subset-query skyline index (Algorithms 2–4, Lemma 5.1).
 
 Problem 1 of the paper: store each skyline point partitioned by its maximum
 dominating subspace and, given a testing point's subspace ``D_q``, return
@@ -6,17 +6,30 @@ every stored point whose subspace is a **superset** of ``D_q`` — by
 Lemma 5.1 the only skyline points that can possibly dominate the testing
 point.
 
-The paper reverses the problem: points are stored under the *complement*
-``D^¬`` of their subspace, turning superset retrieval into **subset**
-retrieval (Problem 2), which a hash-map prefix tree answers cheaply.  Each
-tree node is keyed by a dimension index; a stored subspace's complement
-``{i1 < i2 < ...}`` becomes the root path ``i1 → i2 → ...`` and the point id
-is appended to the terminal node.  A query with complement ``Q`` walks every
-path that uses only dimensions in ``Q``, collecting points along the way —
-exactly the stored subsets of ``Q``.
+The paper answers it with a hash-map prefix tree over reversed subspaces
+(Figure 3): a ``put`` walks ``O(d/2)`` nodes and a cold ``query`` visits
+``O((d/2)^2)``, every hop a Python-level dict probe.  This index keeps the
+same contract in a struct-of-arrays layout where Lemma 5.1's superset
+filter is a single numpy expression over *all* stored subspaces:
 
-Complexities match Lemmas 5.2/5.3: ``put`` is ``O(|D^¬|)`` (average
-``O(d/2)``) and ``query`` visits ``O((d/2)^2)`` nodes on average.
+``(q & ~masks) == 0``   —   equivalently ``masks & q == q``
+
+- **CSR region** — compacted storage.  ``_csr_masks`` holds the distinct
+  subspace masks sorted ascending; ``_csr_starts`` delimits, per mask, the
+  slice of ``_csr_ids``/``_csr_seqs`` holding that group's point ids and
+  insertion sequence numbers.  One vectorised superset pass over the
+  distinct masks selects whole groups at once.
+- **Tail region** — append-friendly parallel arrays (amortised doubling)
+  that absorb ``put`` calls in O(1).  When the tail outgrows a quarter of
+  the CSR region it is folded in by one vectorised rebuild (lexsort by
+  ``(mask, seq)`` + ``np.unique``), keeping amortised maintenance linear.
+
+Query results are ordered by **insertion sequence** (the order points were
+``put``) — the natural candidate order for sorted scans: earlier-confirmed
+skyline points have lower sort keys and are the strongest dominators.  The
+Figure 3 tree returns the identical lists; the test suite keeps it as the
+oracle this index is checked against, ids, order and charged dominance
+tests alike.
 
 Memoization
 -----------
@@ -33,16 +46,20 @@ generation-based invalidation:
   cached entry wholesale — removals are rare (streaming only), appends
   are the hot path.
 
-Query results are canonically ordered by **insertion sequence** (the order
-points were ``put``), which is what makes log-repair a pure append and is
-also the natural candidate order for sorted scans: earlier-confirmed
-skyline points have lower sort keys and are the strongest dominators.
 Memoized and unmemoized queries return bit-identical lists, so every
 dominance test charged downstream is identical; only
-``index_nodes_visited`` differs (a cache hit touches no tree nodes).
+``index_nodes_visited`` differs (a cache hit examines nothing).
+
+When constructed with the dataset's value matrix, each memoized entry also
+carries the gathered candidate rows alongside the ids, repaired together
+from the put-log suffix (:meth:`SkylineIndex.candidates`): one dict probe
+per testing point serves both — the hot path of every boosted scan.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from typing import TypeVar
 
 import numpy as np
 
@@ -52,22 +69,21 @@ from repro.obs.trace import current_tracer
 from repro.stats.counters import DominanceCounter
 from repro.structures import bitset
 
+__all__ = ["SkylineIndex"]
+
 #: Under an enabled tracer, one in this many index queries is timed and
 #: recorded as an ``index.query`` span.  Sampling bounds tracing overhead:
 #: a boosted scan issues one query per testing point, so tracing each one
 #: would dominate the cost being measured.
 _TRACE_SAMPLE = 64
 
+#: The tail is folded into the CSR region when it exceeds
+#: ``max(_COMPACT_MIN, csr_entries // 4)``.  The floor keeps tiny indexes
+#: from compacting on every put; the ratio keeps the number of rebuilds
+#: logarithmic in the final size, so total maintenance stays linearithmic.
+_COMPACT_MIN = 64
 
-class _Node:
-    """One key-value pair of Figure 3: a point bucket plus sub-maps."""
-
-    __slots__ = ("points", "seqs", "children")
-
-    def __init__(self) -> None:
-        self.points: list[int] = []
-        self.seqs: list[int] = []
-        self.children: dict[int, _Node] = {}
+_T = TypeVar("_T")
 
 
 class _CacheEntry:
@@ -108,33 +124,88 @@ class _CacheEntry:
         return view
 
 
+class _FusedEntry(_CacheEntry):
+    """A cache entry that carries the gathered candidate rows as well.
+
+    The row block grows in lockstep with the id buffer, so a single
+    put-log repair updates both and :meth:`SkylineIndex.candidates`
+    serves ``(ids, rows)`` from one dict probe.  Rows handed out are
+    views of a stable prefix — appends never touch published positions.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(
+        self, epoch: int, log_pos: int, ids: list[int], values: np.ndarray
+    ) -> None:
+        super().__init__(epoch, log_pos, ids)
+        self.rows = np.empty((max(4, self.size), values.shape[1]))
+        self.rows[: self.size] = values[self.buf[: self.size]]
+
+    def extend_fused(self, new_ids: np.ndarray, values: np.ndarray) -> None:
+        grown = self.size + new_ids.shape[0]
+        if grown > self.rows.shape[0]:
+            rows = np.empty((max(grown, 2 * self.rows.shape[0]), self.rows.shape[1]))
+            rows[: self.size] = self.rows[: self.size]
+            self.rows = rows
+        self.rows[self.size : grown] = values[new_ids]
+        self.extend(new_ids)
+
+    def rows_view(self) -> np.ndarray:
+        return self.rows[: self.size]
+
+
 class SkylineIndex:
-    """Hash-map prefix tree answering reversed subset queries over subspaces.
+    """Struct-of-arrays index answering superset queries over subspaces.
 
     Parameters
     ----------
     d:
-        Dimensionality of the space; subspace masks must fit in ``d`` bits.
+        Dimensionality of the space, at most
+        :data:`~repro.structures.bitset.MAX_MASK_DIMS`; subspace masks
+        must fit in ``d`` bits.
     memoize:
-        Keep the per-subspace result cache (default).  ``False`` forces a
-        full tree traversal on every query — the scalar reference path used
-        by the differential tests and the throughput benchmark baseline.
+        Keep the per-subspace result cache (default).  ``False`` re-runs
+        the superset filter on every query — the scalar reference path
+        used by the differential tests and the throughput benchmark.
+    values:
+        Optional ``(n, d)`` value matrix.  When given, the index offers
+        the fused :meth:`candidates` path returning gathered rows.
 
     >>> idx = SkylineIndex(d=4)
-    >>> idx.put(7, subspace=0b0011)   # D = {0, 1}, stored under D^¬ = {2, 3}
-    >>> idx.put(9, subspace=0b0111)   # D = {0, 1, 2}, stored under {3}
+    >>> idx.put(7, subspace=0b0011)   # D = {0, 1}
+    >>> idx.put(9, subspace=0b0111)   # D = {0, 1, 2}
     >>> sorted(idx.query(0b0011))     # supersets of {0, 1}: both points
     [7, 9]
     >>> idx.query(0b0111)             # supersets of {0, 1, 2}: only point 9
     [9]
     """
 
-    def __init__(self, d: int, memoize: bool = True) -> None:
+    def __init__(
+        self, d: int, memoize: bool = True, values: np.ndarray | None = None
+    ) -> None:
         if d < 1:
             raise InvalidParameterError(f"dimensionality must be >= 1, got {d}")
+        if d > bitset.MAX_MASK_DIMS:
+            raise InvalidParameterError(
+                f"dimensionality {d} exceeds the {bitset.MAX_MASK_DIMS} "
+                "dimensions an int64 subspace mask holds"
+            )
         self._d = d
         self._memoize = memoize
-        self._root = _Node()
+        self._values = values
+        # CSR region: distinct masks ascending; starts delimit each group's
+        # (id, seq) slice.  Entries within a group ascend by seq because
+        # every rebuild lexsorts by (mask, seq).
+        self._csr_masks = np.empty(0, dtype=np.int64)
+        self._csr_starts = np.zeros(1, dtype=np.intp)
+        self._csr_ids = np.empty(0, dtype=np.intp)
+        self._csr_seqs = np.empty(0, dtype=np.intp)
+        # Tail region: append-only parallel arrays.
+        self._tail_subs = np.empty(16, dtype=np.int64)
+        self._tail_ids = np.empty(16, dtype=np.intp)
+        self._tail_seqs = np.empty(16, dtype=np.intp)
+        self._tail_n = 0
         self._size = 0
         self._seq = 0
         self._generation = 0
@@ -173,7 +244,7 @@ class SkylineIndex:
 
     @property
     def epoch(self) -> int:
-        """Advances on ``remove``/``clear`` — changes that can *shrink* or
+        """Advances on ``remove``/``clear`` — changes that can shrink or
         reorder query results, invalidating append-only derived views."""
         return self._epoch
 
@@ -181,99 +252,103 @@ class SkylineIndex:
         """Number of stored points."""
         return self._size
 
+    def _validate(self, subspace: int) -> None:
+        try:
+            bitset.complement(subspace, self._d)
+        except ValueError as exc:
+            raise DimensionMismatchError(str(exc)) from None
+
     def put(self, point_id: int, subspace: int) -> None:
         """Algorithm 2: store ``point_id`` under its maximum dominating subspace.
 
-        Walks the reversed subspace's dimensions in increasing order,
-        creating nodes on demand, and appends the point to the final node.
-        A full-space subspace lands on the root node (empty path).
+        O(1) append to the tail region; periodically folds the tail into
+        the CSR region (see ``_COMPACT_MIN``).
         """
-        reversed_mask = self._reversed(subspace)
-        node = self._root
-        for dim in bitset.bits_of(reversed_mask):
-            child = node.children.get(dim)
-            if child is None:
-                child = _Node()
-                node.children[dim] = child
-            node = child
-        node.points.append(point_id)
-        node.seqs.append(self._seq)
+        self._validate(subspace)
+        n = self._tail_n
+        if n == self._tail_ids.shape[0]:
+            self._tail_subs = np.concatenate(
+                [self._tail_subs, np.empty_like(self._tail_subs)]
+            )
+            self._tail_ids = np.concatenate(
+                [self._tail_ids, np.empty_like(self._tail_ids)]
+            )
+            self._tail_seqs = np.concatenate(
+                [self._tail_seqs, np.empty_like(self._tail_seqs)]
+            )
+        self._tail_subs[n] = subspace
+        self._tail_ids[n] = point_id
+        self._tail_seqs[n] = self._seq
+        self._tail_n = n + 1
         self._seq += 1
         self._size += 1
         self._generation += 1
         if self._memoize:
-            n = self._log_size
-            if n == self._log_pids.shape[0]:
+            m = self._log_size
+            if m == self._log_pids.shape[0]:
                 self._log_pids = np.concatenate(
                     [self._log_pids, np.empty_like(self._log_pids)]
                 )
                 self._log_subs = np.concatenate(
                     [self._log_subs, np.empty_like(self._log_subs)]
                 )
-            self._log_pids[n] = point_id
-            self._log_subs[n] = subspace
-            self._log_size = n + 1
+            self._log_pids[m] = point_id
+            self._log_subs[m] = subspace
+            self._log_size = m + 1
+        if self._tail_n > max(_COMPACT_MIN, self._csr_ids.shape[0] // 4):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Fold the tail into the CSR region with one vectorised rebuild."""
+        n = self._tail_n
+        if n == 0:
+            return
+        entry_masks = np.concatenate(
+            [
+                np.repeat(self._csr_masks, np.diff(self._csr_starts)),
+                self._tail_subs[:n],
+            ]
+        )
+        entry_ids = np.concatenate([self._csr_ids, self._tail_ids[:n]])
+        entry_seqs = np.concatenate([self._csr_seqs, self._tail_seqs[:n]])
+        order = np.lexsort((entry_seqs, entry_masks))
+        masks_sorted = entry_masks[order]
+        self._csr_ids = entry_ids[order]
+        self._csr_seqs = entry_seqs[order]
+        distinct, starts = np.unique(masks_sorted, return_index=True)
+        self._csr_masks = distinct
+        self._csr_starts = np.append(starts, masks_sorted.size).astype(np.intp)
+        self._tail_n = 0
 
     def query(self, subspace: int, counter: DominanceCounter | None = None) -> list[int]:
         """Algorithms 3–4: all points whose subspace ⊇ ``subspace``.
 
         Results are ordered by insertion sequence.  On a cache miss (or
-        with ``memoize=False``) the reversed-subspace paths are traversed
-        and node visits are recorded on ``counter`` (they are index
-        accesses, *not* dominance tests); a cache hit touches no nodes and
-        records zero visits.
+        with ``memoize=False``) the superset filter runs and ``counter``
+        records the mask groups plus tail entries it examined as index
+        accesses (*not* dominance tests); a cache hit records zero.
         """
         if self._trace_every and self._sample():
-            ids, elapsed = timed(lambda: self._query(subspace, counter))
-            self._tracer.record(
-                "index.query",
-                elapsed,
-                subspace=subspace,
-                results=len(ids),
-                sampled_1_in=self._trace_every,
-            )
-            return ids
+            return self._traced(subspace, lambda: self._query(subspace, counter), len)
         return self._query(subspace, counter)
 
-    def _query(
-        self, subspace: int, counter: DominanceCounter | None
-    ) -> list[int]:
+    def _query(self, subspace: int, counter: DominanceCounter | None) -> list[int]:
         if not self._memoize:
-            reversed_mask = self._reversed(subspace)
-            ids, visited = self._traverse(reversed_mask)
+            self._validate(subspace)
+            ids, visited = self._traverse(subspace)
             if counter is not None:
                 counter.add_query(visited)
             return ids
-        entry = self._entry(subspace, counter)
-        return entry.ids_list()
-
-    def _sample(self) -> bool:
-        """Down-counting sampler: True once every ``_trace_every`` calls."""
-        self._trace_seen += 1
-        if self._trace_seen >= self._trace_every:
-            self._trace_seen = 0
-            return True
-        return False
+        return self._entry(subspace, counter).ids_list()
 
     def query_array(
         self, subspace: int, counter: DominanceCounter | None = None
     ) -> np.ndarray:
-        """Like :meth:`query` but returning a read-only ``intp`` id array.
-
-        The memoized path shares one cached array across calls (rebuilt
-        only when the entry grows), so containers can gather candidate
-        blocks without re-materialising ids on every testing point.
-        """
+        """Like :meth:`query` but returning a read-only ``intp`` id array."""
         if self._trace_every and self._sample():
-            arr, elapsed = timed(lambda: self._query_array(subspace, counter))
-            self._tracer.record(
-                "index.query",
-                elapsed,
-                subspace=subspace,
-                results=int(arr.shape[0]),
-                sampled_1_in=self._trace_every,
+            return self._traced(
+                subspace, lambda: self._query_array(subspace, counter), len
             )
-            return arr
         return self._query_array(subspace, counter)
 
     def _query_array(
@@ -285,6 +360,38 @@ class SkylineIndex:
             return arr
         return self._entry(subspace, counter).array()
 
+    def candidates(
+        self, subspace: int, counter: DominanceCounter | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fused query: ``(ids, rows)`` with the candidate rows gathered.
+
+        Requires construction with ``values``.  The memoized path serves
+        both arrays from one cache probe; ids and accounting are identical
+        to :meth:`query_array` followed by a gather.
+        """
+        if self._values is None:
+            raise InvalidParameterError(
+                "candidates() requires a SkylineIndex built with values"
+            )
+        if self._trace_every and self._sample():
+            return self._traced(
+                subspace,
+                lambda: self._candidates(subspace, counter),
+                lambda pair: len(pair[0]),
+            )
+        return self._candidates(subspace, counter)
+
+    def _candidates(
+        self, subspace: int, counter: DominanceCounter | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if not self._memoize:
+            ids = np.asarray(self._query(subspace, counter), dtype=np.intp)
+            ids.setflags(write=False)
+            return ids, self._values[ids]
+        entry = self._entry(subspace, counter)
+        assert isinstance(entry, _FusedEntry)
+        return entry.array(), entry.rows_view()
+
     def _entry(self, subspace: int, counter: DominanceCounter | None) -> _CacheEntry:
         """The up-to-date cache entry for ``subspace`` (memoized path)."""
         entry = self._cache.get(subspace)
@@ -292,10 +399,13 @@ class SkylineIndex:
             log_size = self._log_size
             pos = entry.log_pos
             if pos < log_size:
-                match = bitset.subset_of_many(
-                    subspace, self._log_subs[pos:log_size]
-                )
-                entry.extend(self._log_pids[pos:log_size][match])
+                match = bitset.subset_of_many(subspace, self._log_subs[pos:log_size])
+                new_ids = self._log_pids[pos:log_size][match]
+                if new_ids.shape[0]:
+                    if isinstance(entry, _FusedEntry):
+                        entry.extend_fused(new_ids, self._values)
+                    else:
+                        entry.extend(new_ids)
                 entry.log_pos = log_size
             self._hits += 1
             if counter is not None:
@@ -306,9 +416,12 @@ class SkylineIndex:
         if entry is not None:
             invalidated = 1
             self._invalidations += 1
-        reversed_mask = self._reversed(subspace)
-        ids, visited = self._traverse(reversed_mask)
-        entry = _CacheEntry(self._epoch, self._log_size, ids)
+        self._validate(subspace)
+        ids, visited = self._traverse(subspace)
+        if self._values is not None:
+            entry = _FusedEntry(self._epoch, self._log_size, ids, self._values)
+        else:
+            entry = _CacheEntry(self._epoch, self._log_size, ids)
         self._cache[subspace] = entry
         self._misses += 1
         if counter is not None:
@@ -316,55 +429,88 @@ class SkylineIndex:
             counter.add_cache_miss(invalidated)
         return entry
 
-    def _traverse(self, reversed_mask: int) -> tuple[list[int], int]:
-        """Full tree walk: insertion-ordered ids plus nodes visited."""
-        collected: list[tuple[int, int]] = []
-        visited = self._collect(self._root, reversed_mask, collected)
-        collected.sort()
-        return [point_id for _, point_id in collected], visited
+    def _sample(self) -> bool:
+        """Down-counting sampler: True once every ``_trace_every`` calls."""
+        self._trace_seen += 1
+        if self._trace_seen >= self._trace_every:
+            self._trace_seen = 0
+            return True
+        return False
 
-    def _collect(
-        self, node: _Node, reversed_mask: int, out: list[tuple[int, int]]
-    ) -> int:
-        out.extend(zip(node.seqs, node.points))
-        visited = 1
-        for dim, child in node.children.items():
-            if bitset.has_dim(reversed_mask, dim):
-                visited += self._collect(child, reversed_mask, out)
-        return visited
+    def _traced(
+        self, subspace: int, run: Callable[[], _T], size: Callable[[_T], int]
+    ) -> _T:
+        """Run one sampled query under the clock and record its span."""
+        out, elapsed = timed(run)
+        self._tracer.record(
+            "index.query",
+            elapsed,
+            subspace=subspace,
+            results=size(out),
+            sampled_1_in=self._trace_every,
+        )
+        return out
 
-    def _reversed(self, subspace: int) -> int:
-        try:
-            return bitset.complement(subspace, self._d)
-        except ValueError as exc:
-            raise DimensionMismatchError(str(exc)) from None
+    def _traverse(self, subspace: int) -> tuple[list[int], int]:
+        """Superset filter pass: insertion-ordered ids plus entries examined.
+
+        "Visited" counts the distinct CSR mask groups plus the tail
+        entries the filter evaluated — the analogue of tree nodes walked.
+        """
+        visited = int(self._csr_masks.shape[0]) + self._tail_n
+        parts_ids: list[np.ndarray] = []
+        parts_seqs: list[np.ndarray] = []
+        if self._csr_masks.shape[0]:
+            for group in np.flatnonzero(
+                bitset.subset_of_many(subspace, self._csr_masks)
+            ):
+                lo, hi = self._csr_starts[group], self._csr_starts[group + 1]
+                parts_ids.append(self._csr_ids[lo:hi])
+                parts_seqs.append(self._csr_seqs[lo:hi])
+        if self._tail_n:
+            match = bitset.subset_of_many(subspace, self._tail_subs[: self._tail_n])
+            parts_ids.append(self._tail_ids[: self._tail_n][match])
+            parts_seqs.append(self._tail_seqs[: self._tail_n][match])
+        if not parts_ids:
+            return [], visited
+        ids = np.concatenate(parts_ids)
+        seqs = np.concatenate(parts_seqs)
+        return ids[np.argsort(seqs, kind="stable")].tolist(), visited
 
     def remove(self, point_id: int, subspace: int) -> None:
         """Remove a point previously stored under ``subspace``.
 
         Needed by the streaming extension (Section 7's perspective (3));
         raises ``KeyError`` when the point is not stored under that
-        subspace.  Emptied nodes are left in place — subspace paths recur,
-        so keeping them avoids re-allocation churn.  The whole result
-        cache is invalidated (epoch advance): repairs only model appends.
+        subspace.  The tail is folded in first so the entry lives in
+        exactly one place.  The whole result cache is invalidated (epoch
+        advance): repairs only model appends.
         """
-        reversed_mask = self._reversed(subspace)
-        node = self._root
-        for dim in bitset.bits_of(reversed_mask):
-            child = node.children.get(dim)
-            if child is None:
-                raise KeyError(
-                    f"point {point_id} not stored under subspace {subspace:#x}"
-                )
-            node = child
-        try:
-            position = node.points.index(point_id)
-        except ValueError:
+        self._validate(subspace)
+        self._compact()
+        group = int(np.searchsorted(self._csr_masks, subspace))
+        if (
+            group == self._csr_masks.shape[0]
+            or int(self._csr_masks[group]) != subspace
+        ):
             raise KeyError(
                 f"point {point_id} not stored under subspace {subspace:#x}"
-            ) from None
-        node.points.pop(position)
-        node.seqs.pop(position)
+            )
+        lo, hi = int(self._csr_starts[group]), int(self._csr_starts[group + 1])
+        hits = np.flatnonzero(self._csr_ids[lo:hi] == point_id)
+        if hits.shape[0] == 0:
+            raise KeyError(
+                f"point {point_id} not stored under subspace {subspace:#x}"
+            )
+        position = lo + int(hits[0])
+        self._csr_ids = np.delete(self._csr_ids, position)
+        self._csr_seqs = np.delete(self._csr_seqs, position)
+        starts = self._csr_starts.copy()
+        starts[group + 1 :] -= 1
+        if starts[group] == starts[group + 1]:
+            self._csr_masks = np.delete(self._csr_masks, group)
+            starts = np.delete(starts, group + 1)
+        self._csr_starts = starts
         self._size -= 1
         self._generation += 1
         self._invalidate_all()
@@ -385,17 +531,15 @@ class SkylineIndex:
         }
 
     def node_count(self) -> int:
-        """Total number of tree nodes (root included); index-size statistic."""
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children.values())
-        return count
+        """Distinct stored subspace masks: the groups the filter evaluates.
+
+        The index-size statistic; the Figure 3 tree's analogue counts
+        prefix-tree nodes instead.
+        """
+        return len(self.subspaces())
 
     def occupancy(self) -> dict[str, float]:
-        """Node-occupancy statistics: how clumped the stored points are.
+        """Group-occupancy statistics: how clumped the stored points are.
 
         Section 6.3 attributes WEATHER's muted gains to "a lot of skyline
         points in one single node" — duplicate-heavy dimensions collapse
@@ -406,7 +550,7 @@ class SkylineIndex:
         if not occupied:
             return {"nodes": 0.0, "occupied": 0.0, "max": 0.0, "mean": 0.0}
         return {
-            "nodes": float(self.node_count()),
+            "nodes": float(len(occupied)),
             "occupied": float(len(occupied)),
             "max": float(max(occupied)),
             "mean": float(sum(occupied) / len(occupied)),
@@ -415,19 +559,22 @@ class SkylineIndex:
     def subspaces(self) -> dict[int, list[int]]:
         """Mapping of stored subspace mask → point ids (diagnostics/tests)."""
         result: dict[int, list[int]] = {}
-        stack: list[tuple[_Node, int]] = [(self._root, 0)]
-        while stack:
-            node, path_mask = stack.pop()
-            if node.points:
-                subspace = bitset.complement(path_mask, self._d)
-                result.setdefault(subspace, []).extend(node.points)
-            for dim, child in node.children.items():
-                stack.append((child, bitset.with_dim(path_mask, dim)))
+        for group in range(self._csr_masks.shape[0]):
+            lo, hi = self._csr_starts[group], self._csr_starts[group + 1]
+            result[int(self._csr_masks[group])] = self._csr_ids[lo:hi].tolist()
+        for k in range(self._tail_n):
+            result.setdefault(int(self._tail_subs[k]), []).append(
+                int(self._tail_ids[k])
+            )
         return result
 
     def clear(self) -> None:
-        """Drop all stored points, nodes and cached query results."""
-        self._root = _Node()
+        """Drop all stored points, groups and cached query results."""
+        self._csr_masks = np.empty(0, dtype=np.int64)
+        self._csr_starts = np.zeros(1, dtype=np.intp)
+        self._csr_ids = np.empty(0, dtype=np.intp)
+        self._csr_seqs = np.empty(0, dtype=np.intp)
+        self._tail_n = 0
         self._size = 0
         self._generation += 1
         self._invalidate_all()

@@ -22,6 +22,13 @@ if TYPE_CHECKING:  # numpy is only needed for the vectorised annotations
 
 EMPTY: int = 0
 
+#: The largest dimensionality whose subspace masks fit the ``int64`` arrays
+#: Merge and the subset index store them in: bit 63 is the sign bit, so a
+#: 64th dimension would overflow.  Boosted (``*-subset``) execution is
+#: defined up to this many dimensions; the adaptive planner falls back to
+#: an unboosted host above it.
+MAX_MASK_DIMS: int = 63
+
 _MaskOrArray = TypeVar("_MaskOrArray", int, "npt.NDArray[np.int64]")
 
 

@@ -10,8 +10,14 @@ from repro.analysis.contracts import (
     verify_index_superset_filter,
     verify_merge_masks,
 )
+from repro.core import subset_index
 from repro.core.subset_index import SkylineIndex
 from repro.data import generate
+
+
+def everything(subspace, masks):
+    """Sabotaged superset filter: every stored mask passes."""
+    return np.ones(masks.shape, dtype=bool)
 
 
 class TestCheckedContainer:
@@ -28,18 +34,9 @@ class TestCheckedContainer:
         assert sorted(container.ids()) == [0, 1]
 
     def test_detects_overbroad_query(self, monkeypatch):
-        # Sabotage the production query path (``query_array`` backs
-        # ``candidates``): return every stored point regardless of mask.
-        def everything(self, subspace, counter=None):
-            out = []
-            stack = [self._root]
-            while stack:
-                node = stack.pop()
-                out.extend(node.points)
-                stack.extend(node.children.values())
-            return np.asarray(out, dtype=np.intp)
-
-        monkeypatch.setattr(SkylineIndex, "query_array", everything)
+        # Sabotage the superset filter ``candidates`` runs: return every
+        # stored point regardless of mask.
+        monkeypatch.setattr(subset_index.bitset, "subset_of_many", everything)
         values = np.array([[0.1, 0.9], [0.9, 0.1]])
         container = CheckedSubsetContainer(values, d=2)
         container.add(0, 0b01)
@@ -48,12 +45,13 @@ class TestCheckedContainer:
             container.candidates(0b01)
 
     def test_detects_lossy_query(self, monkeypatch):
-        original = SkylineIndex.query_array
+        original = SkylineIndex.candidates
 
         def lossy(self, subspace, counter=None):
-            return original(self, subspace, counter)[:-1]
+            ids, rows = original(self, subspace, counter)
+            return ids[:-1], rows[:-1]
 
-        monkeypatch.setattr(SkylineIndex, "query_array", lossy)
+        monkeypatch.setattr(SkylineIndex, "candidates", lossy)
         values = np.array([[0.1, 0.9], [0.9, 0.1]])
         container = CheckedSubsetContainer(values, d=2)
         container.add(0, 0b01)
@@ -76,16 +74,7 @@ class TestEndToEnd:
         assert findings == []
 
     def test_run_contract_checks_reports_sabotage(self, monkeypatch):
-        def everything(self, subspace, counter=None):
-            out = []
-            stack = [self._root]
-            while stack:
-                node = stack.pop()
-                out.extend(node.points)
-                stack.extend(node.children.values())
-            return np.asarray(out, dtype=np.intp)
-
-        monkeypatch.setattr(SkylineIndex, "query_array", everything)
+        monkeypatch.setattr(subset_index.bitset, "subset_of_many", everything)
         findings = run_contract_checks(kinds=("UI",), n=80, d=4, seeds=(1,))
         assert findings
         assert all(f.rule == "contract" for f in findings)

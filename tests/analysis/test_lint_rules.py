@@ -268,7 +268,6 @@ class TestEngine:
             "RPR004",
             "RPR005",
             "RPR006",
-            "RPR007",
             "RPR008",
             "RPR009",
             "RPR010",
@@ -321,53 +320,6 @@ class TestRPR005HandWiredBoost:
                 return SubsetBoost(host)  # noqa: RPR005
             """,
             select=["RPR005"],
-        )
-        assert findings == []
-
-
-class TestRPR007HandBuiltIndex:
-    INDEX_SOURCE = """
-    from repro.core.subset_index import SkylineIndex
-
-    def f(d):
-        return SkylineIndex(d)
-    """
-
-    def test_flags_direct_construction(self, tmp_path):
-        findings = lint_source(tmp_path, self.INDEX_SOURCE, select=["RPR007"])
-        assert [f.rule for f in findings] == ["RPR007"]
-        assert "SubsetContainer" in findings[0].message
-
-    def test_flags_flat_backend_construction(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            from repro.core import flat_index
-
-            def f(d):
-                return flat_index.FlatSubsetIndex(d)
-            """,
-            select=["RPR007"],
-        )
-        assert [f.rule for f in findings] == ["RPR007"]
-
-    def test_core_and_engine_own_the_wiring(self, tmp_path):
-        for filename in ("repro/core/container.py", "repro/engine/custom.py"):
-            findings = lint_source(
-                tmp_path, self.INDEX_SOURCE, filename=filename, select=["RPR007"]
-            )
-            assert findings == []
-
-    def test_noqa_escape_hatch(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            from repro.core.subset_index import SkylineIndex
-
-            def f(d):
-                return SkylineIndex(d)  # noqa: RPR007
-            """,
-            select=["RPR007"],
         )
         assert findings == []
 

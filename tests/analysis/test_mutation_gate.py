@@ -2,9 +2,10 @@
 
 These are the acceptance-criterion mutations for the analysis subsystem:
 
-1. breaking the superset filter behind ``SkylineIndex.query_array`` (the
-   entry point the containers scan through) makes the contract layer (and
-   hence ``--strict`` / ``--contracts``) exit non-zero;
+1. breaking the Lemma 5.1 superset filter that ``SkylineIndex.candidates``
+   (the entry point the containers scan through) runs on every cache miss
+   and put-log repair makes the contract layer (and hence ``--strict`` /
+   ``--contracts``) exit non-zero;
 2. dropping a ``counter`` argument from a kernel call is caught by the
    RPR001 linter;
 3. a miscomputing algorithm makes the differential layer exit non-zero.
@@ -19,29 +20,23 @@ from repro.analysis.__main__ import main
 from repro.analysis.contracts import run_contract_checks
 from repro.analysis.differential import run_differential
 from repro.analysis.report import gate_exit_code
-from repro.core.subset_index import SkylineIndex
+from repro.core import subset_index
 
 
-def _overbroad_query(self, subspace, counter=None):
-    """Mutation: ignore the superset filter, return every stored point."""
-    out = []
-    stack = [self._root]
-    while stack:
-        node = stack.pop()
-        out.extend(node.points)
-        stack.extend(node.children.values())
-    return np.asarray(out, dtype=np.intp)
+def _overbroad_filter(subspace, masks):
+    """Mutation: the superset filter passes every stored mask."""
+    return np.ones(masks.shape, dtype=bool)
 
 
 class TestBrokenSupersetFilter:
     def test_contract_layer_fails(self, monkeypatch):
-        monkeypatch.setattr(SkylineIndex, "query_array", _overbroad_query)
+        monkeypatch.setattr(subset_index.bitset, "subset_of_many", _overbroad_filter)
         findings = run_contract_checks(kinds=("UI",), n=80, d=4, seeds=(1,))
         assert findings
         assert gate_exit_code(findings) == 1
 
     def test_cli_contract_gate_exits_nonzero(self, monkeypatch, capsys):
-        monkeypatch.setattr(SkylineIndex, "query_array", _overbroad_query)
+        monkeypatch.setattr(subset_index.bitset, "subset_of_many", _overbroad_filter)
         assert main(["--no-lint", "--contracts"]) == 1
         assert "Lemma 5.1" in capsys.readouterr().out
 

@@ -121,14 +121,13 @@ class TestTrajectoryHistory:
     def test_plan_carried_into_samples(self, bench):
         report = {"schema_version": bench.SCHEMA_VERSION, "scenarios": {}}
         key = bench.scenario_key("repeated_queries", "UI", 100, 4, 0)
-        plan = {"algorithm": "sfs-subset", "index_backend": "map"}
+        plan = {"algorithm": "sfs-subset", "workers": 1}
         bench.upsert(report, key, {"cold_s": 1.0, "plan": plan})
         assert report["scenarios"][key]["history"][0]["plan"] == plan
 
     def test_plan_fields_extracts_executed_plan(self, bench):
         class Plan:
             label = "sdi-subset"
-            index_backend = "flat"
             incremental = None
             parallel_strategy = "blocks"
             workers = 4
@@ -136,7 +135,6 @@ class TestTrajectoryHistory:
         fields = bench.plan_fields(Plan())
         assert fields == {
             "algorithm": "sdi-subset",
-            "index_backend": "flat",
             "incremental": False,
             "parallel_strategy": "blocks",
             "workers": 4,

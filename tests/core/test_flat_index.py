@@ -1,14 +1,14 @@
-"""FlatSubsetIndex: units, compaction edges, and the flat-vs-map bridge."""
+"""SkylineIndex: units, compaction edges, and the bridge to the Figure 3 tree."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import boost
 from repro.core.boost import run_boosted_scan
 from repro.core.container import SubsetContainer
-from repro.core.flat_index import _COMPACT_MIN, FlatSubsetIndex
-from repro.core.subset_index import SkylineIndex
+from repro.core.subset_index import _COMPACT_MIN, SkylineIndex
 from repro.data import generate
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.algorithms.salsa import SaLSa
@@ -16,6 +16,7 @@ from repro.algorithms.sdi import SDI
 from repro.algorithms.sfs import SFS
 from repro.stats.counters import DominanceCounter
 from repro.structures import bitset
+from tests.oracles.map_index import SkylineIndex as MapIndex
 
 
 def brute_query(stored: list[tuple[int, int]], subspace: int) -> list[int]:
@@ -23,9 +24,31 @@ def brute_query(stored: list[tuple[int, int]], subspace: int) -> list[int]:
     return [pid for pid, mask in stored if subspace & ~mask == 0]
 
 
+class _MapContainer(SubsetContainer):
+    """A subset container whose candidates come from the Figure 3 tree."""
+
+    def __init__(self, values, d, counter=None, memoize=True):
+        super().__init__(values, d, counter, memoize=memoize)
+        self._index = MapIndex(d, memoize=memoize)
+
+    def candidates(self, mask):
+        ids = self._index.query_array(mask, self._counter)
+        return ids, self._values[ids]
+
+
+def boosted_scan(dataset, host, on_map_oracle, **kwargs):
+    """``run_boosted_scan`` on the production index or on the map oracle."""
+    counter = DominanceCounter()
+    with pytest.MonkeyPatch.context() as patch:
+        if on_map_oracle:
+            patch.setattr(boost, "SubsetContainer", _MapContainer)
+        skyline = run_boosted_scan(dataset, host, counter, **kwargs)
+    return skyline, counter
+
+
 class TestPutQuery:
     def test_paper_example(self):
-        """Figure 3's subspace family answered by the flat filter."""
+        """Figure 3's subspace family answered by the superset filter."""
         d = 8
         figure_reversed = [
             {1, 2},
@@ -36,21 +59,21 @@ class TestPutQuery:
             {3, 7},
             {5, 7},
         ]
-        idx = FlatSubsetIndex(d)
+        idx = SkylineIndex(d)
         for pid, reversed_dims in enumerate(figure_reversed):
             idx.put(pid, bitset.complement(bitset.from_dims(reversed_dims), d))
         query_mask = bitset.complement(bitset.from_dims({1, 3, 5}), d)
         assert set(idx.query(query_mask)) == {2, 4}
 
     def test_results_in_insertion_order(self):
-        idx = FlatSubsetIndex(d=4)
+        idx = SkylineIndex(d=4)
         for pid, mask in [(9, 0b1111), (2, 0b0011), (7, 0b1011), (1, 0b0011)]:
             idx.put(pid, mask)
         assert idx.query(0b0011) == [9, 2, 7, 1]
         assert idx.query(0b1011) == [9, 7]
 
     def test_empty_index_queries_clean(self):
-        idx = FlatSubsetIndex(d=3)
+        idx = SkylineIndex(d=3)
         counter = DominanceCounter()
         assert idx.query(0b101, counter) == []
         assert idx.query_array(0b101).tolist() == []
@@ -58,28 +81,28 @@ class TestPutQuery:
         assert idx.node_count() == 0
 
     def test_single_mask_group(self):
-        idx = FlatSubsetIndex(d=3)
+        idx = SkylineIndex(d=3)
         for pid in range(5):
             idx.put(pid, 0b110)
         assert idx.query(0b010) == list(range(5))
         assert idx.query(0b001) == []
-        assert idx.group_count() == 1
+        assert idx.node_count() == 1
 
     def test_duplicate_masks_keep_all_points(self):
-        idx = FlatSubsetIndex(d=4)
+        idx = SkylineIndex(d=4)
         stored = [(pid, 0b0110 if pid % 2 else 0b1111) for pid in range(12)]
         for pid, mask in stored:
             idx.put(pid, mask)
         for q in (0b0110, 0b0010, 0b1111, 0b0001):
             assert idx.query(q) == brute_query(stored, q)
-        assert idx.group_count() == 2
+        assert idx.node_count() == 2
 
     def test_invalid_dimensionality_rejected(self):
         with pytest.raises(InvalidParameterError):
-            FlatSubsetIndex(d=0)
+            SkylineIndex(d=0)
 
     def test_out_of_range_mask_rejected(self):
-        idx = FlatSubsetIndex(d=3)
+        idx = SkylineIndex(d=3)
         with pytest.raises(DimensionMismatchError):
             idx.put(0, 0b1000)
         with pytest.raises(DimensionMismatchError):
@@ -87,11 +110,11 @@ class TestPutQuery:
 
     def test_candidates_requires_values(self):
         with pytest.raises(InvalidParameterError):
-            FlatSubsetIndex(d=3).candidates(0b001)
+            SkylineIndex(d=3).candidates(0b001)
 
     def test_candidates_returns_gathered_rows(self):
         values = np.arange(12.0).reshape(4, 3)
-        idx = FlatSubsetIndex(d=3, values=values)
+        idx = SkylineIndex(d=3, values=values)
         idx.put(2, 0b111)
         idx.put(0, 0b011)
         ids, rows = idx.candidates(0b011)
@@ -106,7 +129,7 @@ class TestPutQuery:
 
 class TestCompaction:
     def test_tail_folds_after_threshold(self):
-        idx = FlatSubsetIndex(d=6)
+        idx = SkylineIndex(d=6)
         stored = [(pid, (pid % 7) + 1) for pid in range(_COMPACT_MIN * 3)]
         for pid, mask in stored:
             idx.put(pid, mask)
@@ -116,7 +139,7 @@ class TestCompaction:
             assert idx.query(q) == brute_query(stored, q)
 
     def test_query_consistent_across_compaction_boundary(self):
-        idx = FlatSubsetIndex(d=4)
+        idx = SkylineIndex(d=4)
         stored = []
         for pid in range(2 * _COMPACT_MIN + 5):
             mask = 0b1111 if pid % 3 else 0b0101
@@ -125,7 +148,7 @@ class TestCompaction:
             assert idx.query(0b0101) == brute_query(stored, 0b0101)
 
     def test_remove_and_clear(self):
-        idx = FlatSubsetIndex(d=3)
+        idx = SkylineIndex(d=3)
         idx.put(1, 0b011)
         idx.put(2, 0b011)
         epoch = idx.epoch
@@ -141,7 +164,7 @@ class TestCompaction:
         assert idx.query(0b001) == []
 
     def test_subspaces_and_occupancy_views(self):
-        idx = FlatSubsetIndex(d=3)
+        idx = SkylineIndex(d=3)
         idx.put(0, 0b011)
         idx.put(1, 0b011)
         idx.put(2, 0b111)
@@ -169,7 +192,7 @@ class TestFlatVsMapBridge:
     def test_interleaved_puts_and_queries_match(self, seq):
         """Same put/query stream → same ids and same cache accounting."""
         d, puts, queries = seq
-        flat, tree = FlatSubsetIndex(d), SkylineIndex(d)
+        flat, tree = SkylineIndex(d), MapIndex(d)
         flat_counter, tree_counter = DominanceCounter(), DominanceCounter()
         for pid, mask in enumerate(puts):
             flat.put(pid, mask)
@@ -185,17 +208,10 @@ class TestFlatVsMapBridge:
     @pytest.mark.parametrize("host_factory", [SFS, SaLSa, SDI])
     @pytest.mark.parametrize("kind", ["UI", "CO", "AC"])
     def test_boosted_scan_bit_identical(self, host_factory, kind):
-        """Full boosted scans charge identical tests on either backend."""
+        """Full boosted scans charge identical tests on the map oracle."""
         dataset = generate(kind, n=600, d=5, seed=11)
-        results = {}
-        for backend in ("map", "flat"):
-            counter = DominanceCounter()
-            skyline = run_boosted_scan(
-                dataset, host_factory(), counter, index_backend=backend
-            )
-            results[backend] = (skyline, counter)
-        map_sky, map_counter = results["map"]
-        flat_sky, flat_counter = results["flat"]
+        map_sky, map_counter = boosted_scan(dataset, host_factory(), True)
+        flat_sky, flat_counter = boosted_scan(dataset, host_factory(), False)
         assert map_sky == flat_sky
         assert map_counter.tests == flat_counter.tests
         assert map_counter.index_cache_hits == flat_counter.index_cache_hits
@@ -211,25 +227,10 @@ class TestFlatVsMapBridge:
         d = 6
         sigma = min(sigma_d, d)
         dataset = generate(kind, n=200, d=d, seed=seed % 1000)
-        per_backend = {}
-        for backend in ("map", "flat"):
-            counter = DominanceCounter()
-            skyline = run_boosted_scan(
-                dataset, SFS(), counter, sigma=sigma, index_backend=backend
-            )
-            per_backend[backend] = (skyline, counter.tests)
-        assert per_backend["map"] == per_backend["flat"]
-
-
-class TestContainerBackendSelection:
-    def test_invalid_backend_rejected(self):
-        values = np.zeros((2, 3))
-        with pytest.raises(InvalidParameterError):
-            SubsetContainer(values, 3, backend="btree")
-
-    def test_backend_property_reports_choice(self):
-        values = np.zeros((2, 3))
-        assert SubsetContainer(values, 3).backend == "map"
-        flat = SubsetContainer(values, 3, backend="flat")
-        assert flat.backend == "flat"
-        assert isinstance(flat.index, FlatSubsetIndex)
+        per_index = [
+            boosted_scan(dataset, SFS(), on_map_oracle, sigma=sigma)
+            for on_map_oracle in (True, False)
+        ]
+        (map_sky, map_counter), (flat_sky, flat_counter) = per_index
+        assert map_sky == flat_sky
+        assert map_counter.tests == flat_counter.tests

