@@ -4,15 +4,15 @@ Isolates the *scan phase* of the boosted pipeline — Merge (Algorithm 1)
 runs once, outside the timed region, then each host's ``run_phase`` is
 timed repeatedly with a fresh container per repeat:
 
-- **scalar**: unmemoized index queries, per-point candidate gather (and,
-  for SDI, the per-point filter + stable sort) — the pre-batching
-  reference path, kept behind ``SDI(batched=False)`` /
-  ``SubsetContainer(memoize=False)``;
-- **batched**: memoized queries, cached contiguous candidate blocks and
-  SDI's incrementally maintained sorted views;
-- **flat vs map**: the batched scan on the struct-of-arrays
-  :class:`~repro.core.subset_index.SkylineIndex` against recorded
-  batched map-index (Figure 3 tree) baseline times.
+- **scalar**: the test-suite oracles of ``tests/oracles/`` — unmemoized
+  queries on the Figure 3 map tree, per-point candidate gather and, for
+  SDI, the per-point filter + stable sort (``ScalarSDI``);
+- **batched**: the production scan — memoized queries on the
+  struct-of-arrays :class:`~repro.core.subset_index.SkylineIndex`,
+  cached contiguous candidate blocks and SDI's incrementally maintained
+  sorted views;
+- **flat vs map**: the batched scan against recorded batched map-index
+  (Figure 3 tree) baseline times.
 
 Every pair of paths must produce the identical skyline and charge the
 identical dominance-test count — the script exits non-zero otherwise, so
@@ -76,14 +76,24 @@ from repro.obs import Tracer, aggregate_phases
 from repro.obs.regress import MAX_HISTORY, trajectory_sample
 from repro.stats.counters import DominanceCounter
 
+# The scalar references are the test suite's oracles, imported from the
+# repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles.scalar_scan import MapContainer, ScalarSDI  # noqa: E402
+
 SCHEMA_VERSION = 2
 
-#: host name -> (scalar factory, batched factory)
+#: host name -> (scalar oracle factory, batched production factory)
 HOSTS = {
-    "sdi": (lambda: SDI(batched=False), lambda: SDI(batched=True)),
+    "sdi": (ScalarSDI, SDI),
     "sfs": (SFS, SFS),
     "salsa": (SaLSa, SaLSa),
 }
+
+
+def unmemoized_map_container(values, d, counter):
+    """The reference container: the Figure 3 tree, walked on every query."""
+    return MapContainer(values, d, counter, memoize=False)
 
 #: Best-of-3 batched map-index scan times recorded by PR 2 on the
 #: canonical cold single-query scenario (UI, n=100k, d=8, seed=0).  The
@@ -183,8 +193,12 @@ def plan_fields(plan) -> dict:
 # -- scenario: batched vs scalar --------------------------------------------
 
 
-def time_scan_phase(dataset, merged, host_factory, memoize, repeats):
-    """Best-of-``repeats`` wall clock of one host's scan phase."""
+def time_scan_phase(dataset, merged, host_factory, container_factory, repeats):
+    """Best-of-``repeats`` wall clock of one host's scan phase.
+
+    ``container_factory(values, d, counter)`` builds the fresh candidate
+    store of each repeat.
+    """
     d = dataset.dimensionality
     masks = np.zeros(dataset.cardinality, dtype=np.int64)
     masks[merged.remaining_ids] = merged.masks
@@ -193,7 +207,7 @@ def time_scan_phase(dataset, merged, host_factory, memoize, repeats):
     counter = DominanceCounter()
     for _ in range(repeats):
         counter = DominanceCounter()
-        container = SubsetContainer(dataset.values, d, counter, memoize=memoize)
+        container = container_factory(dataset.values, d, counter)
         host = host_factory()
         start = time.perf_counter()
         skyline = host.run_phase(
@@ -231,10 +245,10 @@ def run_batched_vs_scalar(kind, n, d, seed, repeats):
     ok = True
     for name, (scalar_factory, batched_factory) in HOSTS.items():
         scalar_sky, scalar_counter, scalar_s = time_scan_phase(
-            dataset, merged, scalar_factory, memoize=False, repeats=repeats
+            dataset, merged, scalar_factory, unmemoized_map_container, repeats
         )
         batched_sky, batched_counter, batched_s = time_scan_phase(
-            dataset, merged, batched_factory, memoize=True, repeats=repeats
+            dataset, merged, batched_factory, SubsetContainer, repeats
         )
         identical = (
             scalar_sky == batched_sky
@@ -273,8 +287,8 @@ def run_flat_vs_map(prepared_pair, kind, n, d, seed, repeats):
     Gate: on the canonical configuration, the geometric mean across hosts
     of (PR 2 batched map baseline / flat time) must reach
     ``FLAT_GATE_SPEEDUP``.  On every configuration the memoized scan must
-    reproduce the unmemoized reference scan (one untimed repeat) bit for
-    bit: identical skyline and charged dominance tests.
+    reproduce the scan over the unmemoized map-tree oracle (one untimed
+    repeat) bit for bit: identical skyline and charged dominance tests.
     """
     dataset, merged = prepared_pair
     canonical = (kind, n, d, seed) == PR2_BASELINE_CONFIG
@@ -294,10 +308,10 @@ def run_flat_vs_map(prepared_pair, kind, n, d, seed, repeats):
     ratios = []
     for name, (_scalar, batched_factory) in HOSTS.items():
         ref_sky, ref_counter, _ = time_scan_phase(
-            dataset, merged, batched_factory, memoize=False, repeats=1
+            dataset, merged, batched_factory, unmemoized_map_container, 1
         )
         flat_sky, flat_counter, flat_s = time_scan_phase(
-            dataset, merged, batched_factory, memoize=True, repeats=repeats
+            dataset, merged, batched_factory, SubsetContainer, repeats
         )
         identical = (
             ref_sky == flat_sky and ref_counter.tests == flat_counter.tests

@@ -252,7 +252,7 @@ class SortScanAlgorithm(SkylineAlgorithm, _ProgressiveMixin):
         return skyline
 
 
-def monotone_order(keys: np.ndarray, tiebreak: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def lexsort_order(keys: np.ndarray, tiebreak: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Order ``ids`` by ``(keys, tiebreak)`` ascending via a stable lexsort."""
     selection = np.lexsort((tiebreak[ids], keys[ids]))
     return ids[selection]

@@ -16,7 +16,7 @@ from collections.abc import MutableMapping
 
 import numpy as np
 
-from repro.algorithms.base import SortScanAlgorithm, monotone_order
+from repro.algorithms.base import SortScanAlgorithm, lexsort_order
 from repro.algorithms.sortkeys import sort_keys, sum_tiebreak
 from repro.core.container import SkylineContainer
 from repro.dataset import Dataset
@@ -46,7 +46,7 @@ class LESS(SortScanAlgorithm):
 
     def sort_ids(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
         keys = sort_keys(values, "entropy")
-        return monotone_order(keys, sum_tiebreak(values), ids)
+        return lexsort_order(keys, sum_tiebreak(values), ids)
 
     def run_phase(
         self,
@@ -101,7 +101,7 @@ class LESS(SortScanAlgorithm):
                             ef_ids[worst] = point_id
 
                 # Phase 2: SFS scan over the survivors.
-                order = monotone_order(
+                order = lexsort_order(
                     keys, sum_tiebreak(values), np.asarray(survivors, dtype=np.intp)
                 )
             if sort_cache is not None:

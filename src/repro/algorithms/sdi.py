@@ -24,21 +24,21 @@ Key properties preserved from the original design:
 One dominance test is charged per compared skyline point, exactly as a
 sequential early-exit loop would.
 
-Batched scan
-------------
-The scalar scan pays, per testing point, an ``O(k)`` boolean prefix filter
-plus an ``O(k log k)`` sort over its candidate block.  The batched scan
-(default) instead maintains one *sorted view* per ``(subspace, dimension)``
-pair: candidate blocks are stable-prefix (see
+Sorted-view prefix test
+-----------------------
+Filtering and re-sorting the candidate block per testing point costs an
+``O(k)`` boolean prefix filter plus an ``O(k log k)`` sort.  The scan
+instead maintains one *sorted view* per ``(subspace, dimension)`` pair:
+candidate blocks are stable-prefix (see
 :class:`~repro.core.container.SkylineContainer`), so each view is repaired
 by merging only the newly confirmed rows (a permutation merge over two 1-D
-arrays), and the per-point test collapses to a binary search, a gather of
-the eligible prefix rows, and one ``first_dominator`` kernel call (the
-sorted-block form is :func:`~repro.dominance.first_dominator_prefix`).
-The tested prefix is element-for-element identical to the scalar
-filter-then-stable-sort path, so skyline output and charged dominance
-tests are bit-identical; ``SDI(batched=False)`` keeps the scalar reference
-path for differential tests and benchmarks.
+arrays), and the per-point test (:meth:`SDI._prefix_undominated`)
+collapses to a binary search, a gather of the eligible prefix rows, and
+one ``first_dominator`` kernel call (the sorted-block form is
+:func:`~repro.dominance.first_dominator_prefix`).  The tested prefix is
+element-for-element identical to the filter-then-stable-sort reference,
+so skyline output and charged dominance tests are bit-identical; that
+reference overrides the same method in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -113,25 +113,13 @@ class _SortedView:
 
 
 class SDI(SkylineAlgorithm):
-    """Sorted-dimension-index skyline with breadth-first dimension traversal.
-
-    Parameters
-    ----------
-    batched:
-        Use incrementally maintained per-``(subspace, dimension)`` sorted
-        views for the prefix test (default).  ``False`` re-filters and
-        re-sorts the candidate block per testing point — the scalar
-        reference path with identical output and test accounting.
-    """
+    """Sorted-dimension-index skyline with breadth-first dimension traversal."""
 
     name = "sdi"
 
     #: The sort phase (per-dimension indexes + stop point) is cacheable via
     #: the ``sort_cache`` parameter of :meth:`run_phase`.
     supports_sort_cache = True
-
-    def __init__(self, batched: bool = True) -> None:
-        self.batched = batched
 
     def _run(self, dataset: Dataset, counter: DominanceCounter) -> list[int]:
         ids = np.arange(dataset.cardinality, dtype=np.intp)
@@ -193,8 +181,8 @@ class SDI(SkylineAlgorithm):
         open_dims = set(range(d))
         skyline: list[int] = []
         views: dict[tuple[int, int], _SortedView] = {}
-        batched = self.batched
         mask_sensitive = container.uses_masks
+        prefix_undominated = self._prefix_undominated
 
         def select(k: int) -> tuple[int, int]:
             return (dim_sky_count[k], k)
@@ -223,31 +211,10 @@ class SDI(SkylineAlgorithm):
             point = values[point_id]
             mask = masks_list[point_id]
 
-            candidate_ids, block = container.candidates(mask)
-            if batched:
-                view_key = (mask if mask_sensitive else 0, dim)
-                view = views.get(view_key)
-                if view is None:
-                    view = _SortedView()
-                    views[view_key] = view
-                if view.n != block.shape[0]:
-                    view.extend(block, dim)
-                bound = point[dim]
-                cut = int(view.col.searchsorted(bound, side="right"))
-                undominated = (
-                    cut == 0
-                    or first_dominator(block[view.perm[:cut]], point, counter)
-                    == -1
-                )
-            else:
-                bound = point[dim]
-                if block.shape[0]:
-                    prefix = block[:, dim] <= bound
-                    block = block[prefix]
-                    if block.shape[0]:
-                        block = block[np.argsort(block[:, dim], kind="stable")]
-                undominated = first_dominator(block, point, counter) == -1
-            if undominated:
+            _, block = container.candidates(mask)
+            if prefix_undominated(
+                views, (mask if mask_sensitive else 0, dim), block, point, dim, counter
+            ):
                 status[point_id] = _SKYLINE
                 skyline.append(point_id)
                 container.add(point_id, mask)
@@ -256,7 +223,7 @@ class SDI(SkylineAlgorithm):
             else:
                 status[point_id] = _DOMINATED
 
-            if bound > stop_list[dim]:
+            if point[dim] > stop_list[dim]:
                 # The cursor passed the stop point in this dimension; once
                 # that holds in every dimension, all unvisited points are
                 # strictly worse than the stop point everywhere.
@@ -264,3 +231,28 @@ class SDI(SkylineAlgorithm):
                 chosen = -1
 
         return skyline
+
+    def _prefix_undominated(
+        self,
+        views: dict[tuple[int, int], _SortedView],
+        key: tuple[int, int],
+        block: np.ndarray,
+        point: np.ndarray,
+        dim: int,
+        counter: DominanceCounter,
+    ) -> bool:
+        """Whether no row of ``block`` in the ``dim`` prefix dominates ``point``.
+
+        The prefix is every candidate whose ``dim`` value does not exceed
+        the point's, tested in (value, insertion) order with one test
+        charged per compared row.  ``views[key]`` is the block's sorted
+        view, repaired here by merging the rows appended since the last
+        call.
+        """
+        view = views.get(key)
+        if view is None:
+            view = views[key] = _SortedView()
+        if view.n != block.shape[0]:
+            view.extend(block, dim)
+        cut = int(view.col.searchsorted(point[dim], side="right"))
+        return cut == 0 or first_dominator(block[view.perm[:cut]], point, counter) == -1

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.differential import oracle_skyline
 from repro.analysis.report import Finding, Severity
 from repro.core.container import ListContainer, SkylineContainer, SubsetContainer
 from repro.core.merge import merge
@@ -120,7 +121,7 @@ def verify_index_superset_filter(dataset: Dataset, sigma: int | None = None) -> 
         skyline += SFS().run_phase(
             dataset, merged.remaining_ids, masks, container, counter
         )
-    expected = _oracle_skyline(dataset.values)
+    expected = oracle_skyline(dataset.values)
     if sorted(skyline) != expected:
         raise ContractViolation(
             "checked boosted scan produced a wrong skyline: "
@@ -211,20 +212,6 @@ def verify_engine_equivalence(
                 f"engine({name}) warm run recorded no prepared-cache "
                 "hits — the Merge result was recomputed instead of reused"
             )
-
-
-def _oracle_skyline(values: np.ndarray) -> list[int]:
-    """Independent O(N^2) skyline oracle (no library kernels involved)."""
-    n = values.shape[0]
-    result: list[int] = []
-    for i in range(n):
-        le = np.all(values <= values[i], axis=1)
-        lt = np.any(values < values[i], axis=1)
-        dominators = le & lt
-        dominators[i] = False
-        if not bool(dominators.any()):
-            result.append(i)
-    return result
 
 
 def run_contract_checks(

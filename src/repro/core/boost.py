@@ -13,6 +13,11 @@ The application sketch from Section 1 of the paper:
 Merge guarantees that no remaining point is dominated by (or equal to) a
 pivot, so pivots never need to participate in scan-phase dominance tests —
 the index starts empty.
+
+There is one wiring: the memoized subset index and the host's production
+scan.  The scalar references the boosted scan is checked against (an
+unmemoized container over the Figure 3 map tree, a per-point
+filter-then-sort SDI) live in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -118,7 +123,6 @@ def run_boosted_scan(
     sigma: int | None = None,
     container: str = "subset",
     pivot_strategy: str = "euclidean",
-    memoize: bool = True,
     merged: MergeResult | None = None,
     sort_cache: MutableMapping[str, object] | None = None,
 ) -> list[int]:
@@ -160,7 +164,7 @@ def run_boosted_scan(
     masks[merged.remaining_ids] = merged.masks
     store: SkylineContainer
     if container == "subset":
-        store = SubsetContainer(dataset.values, d, counter, memoize=memoize)
+        store = SubsetContainer(dataset.values, d, counter)
     else:
         # Ablation mode: identical merge phase, plain list store — this
         # isolates the contribution of the subset index (Algs. 2-4)
@@ -201,12 +205,6 @@ class SubsetBoost:
     sigma:
         Stability threshold for Merge; defaults to the paper's rounded
         ``d/3`` heuristic at compute time.
-    memoize:
-        Enable the subset index's per-subspace result cache and the
-        container's gathered-block cache (default).  ``False`` is the
-        scalar reference path: identical skyline and dominance-test
-        accounting, used by the differential tests and the throughput
-        benchmark baseline.
 
     >>> from repro.algorithms.sfs import SFS
     >>> from repro.data import generate
@@ -222,7 +220,6 @@ class SubsetBoost:
         sigma: int | None = None,
         container: str = "subset",
         pivot_strategy: str = "euclidean",
-        memoize: bool = True,
     ) -> None:
         if not isinstance(host, BoostableHost):
             raise TypeError(
@@ -234,7 +231,6 @@ class SubsetBoost:
         self.sigma = sigma
         self.container = container
         self.pivot_strategy = pivot_strategy
-        self.memoize = memoize
         self.name = f"{host.name}-subset"
 
     def compute(
@@ -256,5 +252,4 @@ class SubsetBoost:
             sigma=self.sigma,
             container=self.container,
             pivot_strategy=self.pivot_strategy,
-            memoize=self.memoize,
         )

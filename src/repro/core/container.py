@@ -147,10 +147,10 @@ class SubsetContainer(SkylineContainer):
         :meth:`candidates` — which gathers coordinate blocks — raises.
         The streaming extension uses this mode: it owns its own row
         storage (points arrive one at a time).
-    memoize:
-        Forwarded to the index.  ``False`` reproduces the scalar reference
-        path (fresh filter pass + fresh gather per query) with
-        bit-identical results and dominance-test accounting.
+
+    The index memoizes per-subspace results.  The unmemoized reference it
+    is tested against — a container over the Figure 3 map tree with its
+    cache off — lives in ``tests/oracles/``.
     """
 
     def __init__(
@@ -158,10 +158,9 @@ class SubsetContainer(SkylineContainer):
         values: np.ndarray | None,
         d: int,
         counter: DominanceCounter | None = None,
-        memoize: bool = True,
     ) -> None:
         self._values = values
-        self._index = SkylineIndex(d, memoize=memoize, values=values)
+        self._index = SkylineIndex(d, values=values)
         self._counter = counter
         self._all_ids: list[int] = []
 

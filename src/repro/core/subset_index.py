@@ -46,9 +46,11 @@ generation-based invalidation:
   cached entry wholesale — removals are rare (streaming only), appends
   are the hot path.
 
-Memoized and unmemoized queries return bit-identical lists, so every
+A cached query returns the list a fresh filter pass would, so every
 dominance test charged downstream is identical; only
-``index_nodes_visited`` differs (a cache hit examines nothing).
+``index_nodes_visited`` differs (a cache hit examines nothing).  The
+unmemoized reference this is checked against is the Figure 3 tree with
+its cache off, ``tests/oracles/map_index.py``.
 
 When constructed with the dataset's value matrix, each memoized entry also
 carries the gathered candidate rows alongside the ids, repaired together
@@ -164,10 +166,6 @@ class SkylineIndex:
         Dimensionality of the space, at most
         :data:`~repro.structures.bitset.MAX_MASK_DIMS`; subspace masks
         must fit in ``d`` bits.
-    memoize:
-        Keep the per-subspace result cache (default).  ``False`` re-runs
-        the superset filter on every query — the scalar reference path
-        used by the differential tests and the throughput benchmark.
     values:
         Optional ``(n, d)`` value matrix.  When given, the index offers
         the fused :meth:`candidates` path returning gathered rows.
@@ -181,9 +179,7 @@ class SkylineIndex:
     [9]
     """
 
-    def __init__(
-        self, d: int, memoize: bool = True, values: np.ndarray | None = None
-    ) -> None:
+    def __init__(self, d: int, values: np.ndarray | None = None) -> None:
         if d < 1:
             raise InvalidParameterError(f"dimensionality must be >= 1, got {d}")
         if d > bitset.MAX_MASK_DIMS:
@@ -192,7 +188,6 @@ class SkylineIndex:
                 "dimensions an int64 subspace mask holds"
             )
         self._d = d
-        self._memoize = memoize
         self._values = values
         # CSR region: distinct masks ascending; starts delimit each group's
         # (id, seq) slice.  Entries within a group ascend by seq because
@@ -231,11 +226,6 @@ class SkylineIndex:
     @property
     def dimensionality(self) -> int:
         return self._d
-
-    @property
-    def memoized(self) -> bool:
-        """Whether the per-subspace result cache is active."""
-        return self._memoize
 
     @property
     def generation(self) -> int:
@@ -283,18 +273,17 @@ class SkylineIndex:
         self._seq += 1
         self._size += 1
         self._generation += 1
-        if self._memoize:
-            m = self._log_size
-            if m == self._log_pids.shape[0]:
-                self._log_pids = np.concatenate(
-                    [self._log_pids, np.empty_like(self._log_pids)]
-                )
-                self._log_subs = np.concatenate(
-                    [self._log_subs, np.empty_like(self._log_subs)]
-                )
-            self._log_pids[m] = point_id
-            self._log_subs[m] = subspace
-            self._log_size = m + 1
+        m = self._log_size
+        if m == self._log_pids.shape[0]:
+            self._log_pids = np.concatenate(
+                [self._log_pids, np.empty_like(self._log_pids)]
+            )
+            self._log_subs = np.concatenate(
+                [self._log_subs, np.empty_like(self._log_subs)]
+            )
+        self._log_pids[m] = point_id
+        self._log_subs[m] = subspace
+        self._log_size = m + 1
         if self._tail_n > max(_COMPACT_MIN, self._csr_ids.shape[0] // 4):
             self._compact()
 
@@ -323,51 +312,25 @@ class SkylineIndex:
     def query(self, subspace: int, counter: DominanceCounter | None = None) -> list[int]:
         """Algorithms 3–4: all points whose subspace ⊇ ``subspace``.
 
-        Results are ordered by insertion sequence.  On a cache miss (or
-        with ``memoize=False``) the superset filter runs and ``counter``
-        records the mask groups plus tail entries it examined as index
-        accesses (*not* dominance tests); a cache hit records zero.
+        Results are ordered by insertion sequence.  On a cache miss the
+        superset filter runs and ``counter`` records the mask groups plus
+        tail entries it examined as index accesses (*not* dominance
+        tests); a cache hit records zero.
         """
         if self._trace_every and self._sample():
-            return self._traced(subspace, lambda: self._query(subspace, counter), len)
-        return self._query(subspace, counter)
-
-    def _query(self, subspace: int, counter: DominanceCounter | None) -> list[int]:
-        if not self._memoize:
-            self._validate(subspace)
-            ids, visited = self._traverse(subspace)
-            if counter is not None:
-                counter.add_query(visited)
-            return ids
-        return self._entry(subspace, counter).ids_list()
-
-    def query_array(
-        self, subspace: int, counter: DominanceCounter | None = None
-    ) -> np.ndarray:
-        """Like :meth:`query` but returning a read-only ``intp`` id array."""
-        if self._trace_every and self._sample():
             return self._traced(
-                subspace, lambda: self._query_array(subspace, counter), len
+                subspace, lambda: self._entry(subspace, counter).ids_list(), len
             )
-        return self._query_array(subspace, counter)
-
-    def _query_array(
-        self, subspace: int, counter: DominanceCounter | None
-    ) -> np.ndarray:
-        if not self._memoize:
-            arr = np.asarray(self._query(subspace, counter), dtype=np.intp)
-            arr.setflags(write=False)
-            return arr
-        return self._entry(subspace, counter).array()
+        return self._entry(subspace, counter).ids_list()
 
     def candidates(
         self, subspace: int, counter: DominanceCounter | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fused query: ``(ids, rows)`` with the candidate rows gathered.
 
-        Requires construction with ``values``.  The memoized path serves
-        both arrays from one cache probe; ids and accounting are identical
-        to :meth:`query_array` followed by a gather.
+        Requires construction with ``values``.  Both arrays come from one
+        cache probe; the ids are a read-only ``intp`` view equal to
+        :meth:`query`, with identical accounting.
         """
         if self._values is None:
             raise InvalidParameterError(
@@ -384,16 +347,12 @@ class SkylineIndex:
     def _candidates(
         self, subspace: int, counter: DominanceCounter | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        if not self._memoize:
-            ids = np.asarray(self._query(subspace, counter), dtype=np.intp)
-            ids.setflags(write=False)
-            return ids, self._values[ids]
         entry = self._entry(subspace, counter)
         assert isinstance(entry, _FusedEntry)
         return entry.array(), entry.rows_view()
 
     def _entry(self, subspace: int, counter: DominanceCounter | None) -> _CacheEntry:
-        """The up-to-date cache entry for ``subspace`` (memoized path)."""
+        """The up-to-date cache entry for ``subspace``."""
         entry = self._cache.get(subspace)
         if entry is not None and entry.epoch == self._epoch:
             log_size = self._log_size

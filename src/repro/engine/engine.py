@@ -32,6 +32,7 @@ from repro.engine.delta import DeltaReport
 from repro.engine.plan import Plan
 from repro.engine.planner import Planner
 from repro.engine.prepared import PreparedDataset
+from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
 
 __all__ = ["SkylineEngine"]
@@ -92,9 +93,7 @@ class SkylineEngine:
         plan: Plan | None = None,
         container: str = "subset",
         pivot_strategy: str = "euclidean",
-        memoize: bool = True,
         workers: int | None = None,
-        parallel_strategy: str | None = None,
         incremental: bool | None = None,
         host_options: Mapping[str, object] | None = None,
     ) -> SkylineResult:
@@ -104,9 +103,6 @@ class SkylineEngine:
         registry name pins the exact direct-call wiring.  ``workers``
         defaults to ``None`` — "planner decides": pinned plans run
         sequentially, adaptive plans choose from the dataset statistics.
-        ``parallel_strategy`` pins the block-parallel mode for
-        ``workers > 1`` (``"prefix"`` is the prune-aware default,
-        ``"even"`` the legacy split).
         ``incremental`` steers delta repair after :meth:`apply_delta`:
         ``None`` lets the cost model decide, ``True``/``False`` force
         repair/recompute (repair requires an adaptive plan).  The returned
@@ -137,9 +133,7 @@ class SkylineEngine:
                         sigma,
                         container=container,
                         pivot_strategy=pivot_strategy,
-                        memoize=memoize,
                         workers=workers,
-                        parallel_strategy=parallel_strategy,
                         incremental=incremental,
                         host_options=host_options,
                         counter=run_counter,
@@ -195,7 +189,7 @@ class SkylineEngine:
 
     def apply_delta(
         self,
-        data: Dataset | PreparedDataset | np.ndarray,
+        data: Dataset | PreparedDataset,
         inserts: "np.ndarray | list[list[float]] | None" = None,
         deletes: "np.ndarray | list[int] | None" = None,
         counter: DominanceCounter | None = None,
@@ -209,7 +203,21 @@ class SkylineEngine:
         ``execute(prepared.dataset)`` — or ``execute`` with the prepared
         object itself — finds the repaired caches instead of preparing the
         stale pre-delta array from scratch.
+
+        ``data`` must be a :class:`~repro.dataset.Dataset` or
+        :class:`PreparedDataset` handle: ``execute(ndarray)`` prepares a
+        fresh copy of a raw array on every call, so no later query could
+        see a delta applied to one.  A raw array raises
+        :class:`~repro.errors.InvalidParameterError`.
         """
+        if not isinstance(data, (Dataset, PreparedDataset)):
+            raise InvalidParameterError(
+                "apply_delta needs a Dataset or PreparedDataset, got "
+                f"{type(data).__name__}: a raw array is copied afresh by every "
+                "execute(), so the delta would be lost; wrap it once in "
+                "repro.Dataset(values) and pass that handle to execute() and "
+                "apply_delta()"
+            )
         events = self.context.events
         run_counter = self.context.run_counter(counter)
         with self.context.tracer.activate(), events.activate():
@@ -259,17 +267,15 @@ class SkylineEngine:
             from repro.core.prefix import monotone_order
             from repro.extensions.parallel import parallel_skyline
 
-            order = None
-            if plan.parallel_strategy == "prefix":
-                # The monotone scan order is a pure function of the
-                # values; prepared sessions compute it once and reuse it
-                # across every parallel query (and the worker pool keys
-                # its shared order segment off the same array identity).
-                order = prepared.artefact(
-                    ("parallel", "monotone-order"),
-                    lambda: monotone_order(dataset.values),
-                    counter,
-                )
+            # The monotone scan order is a pure function of the values;
+            # prepared sessions compute it once and reuse it across every
+            # parallel query (and the worker pool keys its shared order
+            # segment off the same array identity).
+            order = prepared.artefact(
+                ("parallel", "monotone-order"),
+                lambda: monotone_order(dataset.values),
+                counter,
+            )
             indices = parallel_skyline(
                 dataset,
                 workers=plan.workers,
@@ -280,7 +286,6 @@ class SkylineEngine:
                 merge_algorithm=plan.label if plan.boosted else "sfs",
                 counter=counter,
                 pool=self.context.pool,
-                partition="sorted" if plan.parallel_strategy == "prefix" else "even",
                 prefix_size=plan.prefix_size,
                 block_growth=plan.block_growth,
                 order=order,
@@ -302,7 +307,6 @@ class SkylineEngine:
                 sigma=plan.sigma,
                 container=plan.container,
                 pivot_strategy=plan.pivot_strategy,
-                memoize=plan.memoize,
                 merged=merged,
                 sort_cache=sort_cache,
             )

@@ -2,10 +2,15 @@
 
 A plan is to the skyline operator what ``EXPLAIN`` output is to a SQL
 query: which host algorithm runs, whether the subset boost wraps it, which
-container backs the scan, the stability threshold σ, and the execution
-knobs (memoization, batching, worker count) — plus the signals and reasons
-that led there.  Plans are immutable and comparable, so planner
-determinism is testable as plain equality.
+container backs the scan, the stability threshold σ, and the worker count
+with its block-parallel sizing — plus the signals and reasons that led
+there.  Plans are immutable and comparable, so planner determinism is
+testable as plain equality.
+
+A plan selects nothing below the container: the subset index always
+memoizes, SDI always scans through its sorted views and parallel plans
+always cut sort-order blocks with the prefix exchange.  The scalar and
+unmemoized references for those paths live in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -39,18 +44,13 @@ class Plan:
         Skyline store for the boosted scan: ``"subset"`` or ``"list"``.
     pivot_strategy:
         Merge pivot selection strategy.
-    memoize:
-        Whether the subset index's per-subspace caches are enabled.
     workers:
         Process count for block-parallel execution; ``1`` is sequential.
-    parallel_strategy:
-        How block-parallel execution partitions and prunes: ``"none"``
-        (sequential), ``"prefix"`` (sort-order partitioning with the
-        shared-survivor prefix exchange — the default for ``workers > 1``)
-        or ``"even"`` (the PR 5 even row-range split, no pruning).
+        ``workers > 1`` partitions along the monotone sort order with the
+        shared-survivor prefix exchange (see :attr:`parallel_strategy`).
     prefix_size:
         Shared-survivor prefix points broadcast to every worker before the
-        local scans (``0`` when the strategy does not exchange a prefix).
+        local scans (``0`` for sequential plans).
     block_growth:
         Geometric block-size growth along the partition order; ``1.0`` is
         an even split.  Derived from the expected skyline fraction in
@@ -94,9 +94,7 @@ class Plan:
     sigma: int | None = None
     container: str = "subset"
     pivot_strategy: str = "euclidean"
-    memoize: bool = True
     workers: int = 1
-    parallel_strategy: str = "none"
     prefix_size: int = 0
     block_growth: float = 1.0
     adaptive: bool = False
@@ -120,13 +118,22 @@ class Plan:
         return f"{self.algorithm}-subset" if self.boosted else self.algorithm
 
     @property
+    def parallel_strategy(self) -> str:
+        """``"prefix"`` for block-parallel plans, ``"none"`` for sequential.
+
+        Derived from :attr:`workers`: every parallel plan cuts sort-order
+        blocks and exchanges a shared-survivor prefix.
+        """
+        return "prefix" if self.workers > 1 else "none"
+
+    @property
     def sort_cache_key(self) -> str:
         """The :meth:`PreparedDataset.sort_cache` key for this plan.
 
         Encodes everything that changes the scanned id set or the scan
         order: host name and options, boost mode, σ and pivot strategy
-        (these determine ``remaining_ids``).  The container and memoization
-        knobs deliberately do not appear — they change neither.
+        (these determine ``remaining_ids``).  The container deliberately
+        does not appear — it changes neither.
         """
         options = ",".join(f"{k}={v!r}" for k, v in self.host_options)
         if self.boosted:
@@ -155,7 +162,6 @@ class Plan:
             lines.append(
                 f"  boost: merge(σ={self.sigma}, pivots={self.pivot_strategy})"
                 f" -> {self.container} container"
-                f" (memoize={'on' if self.memoize else 'off'})"
             )
         else:
             lines.append("  boost: off (plain list container)")

@@ -121,9 +121,7 @@ class Planner:
         *,
         container: str = "subset",
         pivot_strategy: str = "euclidean",
-        memoize: bool = True,
         workers: int | None = None,
-        parallel_strategy: str | None = None,
         incremental: bool | None = None,
         host_options: Mapping[str, object] | None = None,
         counter: DominanceCounter | None = None,
@@ -138,9 +136,8 @@ class Planner:
         back to an unboosted host there.  ``workers``: an explicit
         count is honoured as given, ``None`` lets adaptive plans turn on
         block-parallel execution above ``_PARALLEL_N`` rows (pinned plans
-        stay sequential).  ``parallel_strategy`` pins how a parallel plan
-        partitions and prunes (``"prefix"``/``"even"``); ``None`` selects
-        the prune-aware prefix exchange whenever ``workers > 1``.
+        stay sequential).  Every parallel plan cuts sort-order blocks and
+        exchanges a shared-survivor prefix.
 
         ``incremental`` controls delta repair when the prepared dataset has
         pending mutations logged by :meth:`PreparedDataset.apply_delta`:
@@ -161,11 +158,6 @@ class Planner:
             raise InvalidParameterError(
                 f"container must be 'subset' or 'list', got {container!r}"
             )
-        if parallel_strategy not in (None, "prefix", "even"):
-            raise InvalidParameterError(
-                "parallel_strategy must be 'prefix' or 'even', "
-                f"got {parallel_strategy!r}"
-            )
         options = tuple(sorted((host_options or {}).items()))
         if algorithm is not None:
             return self._pinned(
@@ -174,9 +166,7 @@ class Planner:
                 sigma,
                 container=container,
                 pivot_strategy=pivot_strategy,
-                memoize=memoize,
                 workers=workers,
-                parallel_strategy=parallel_strategy,
                 host_options=options,
             )
         return self._adaptive(
@@ -184,9 +174,7 @@ class Planner:
             sigma,
             container=container,
             pivot_strategy=pivot_strategy,
-            memoize=memoize,
             workers=workers,
-            parallel_strategy=parallel_strategy,
             incremental=incremental,
             host_options=options,
             counter=counter,
@@ -202,9 +190,7 @@ class Planner:
         *,
         container: str,
         pivot_strategy: str,
-        memoize: bool,
         workers: int | None,
-        parallel_strategy: str | None,
         host_options: tuple[tuple[str, object], ...],
     ) -> Plan:
         key = algorithm.lower()
@@ -232,13 +218,12 @@ class Planner:
             resolved = None
         resolved_workers = workers if workers is not None else 1
         reasons = [f"algorithm pinned by caller: {key}"]
-        strategy, prefix_size, growth = self._resolve_strategy(
-            resolved_workers, parallel_strategy, _PINNED_PREFIX, _PINNED_GROWTH
-        )
+        prefix_size, growth = 0, 1.0
         if resolved_workers > 1:
+            prefix_size, growth = _PINNED_PREFIX, _PINNED_GROWTH
             reasons.append(
                 f"workers={resolved_workers} pinned by caller: "
-                f"{strategy} block-parallel execution"
+                "prefix block-parallel execution"
             )
         return Plan(
             algorithm=host,
@@ -246,36 +231,18 @@ class Planner:
             sigma=resolved,
             container=container,
             pivot_strategy=pivot_strategy,
-            memoize=memoize,
             # Pinned plans run sequentially unless the caller asks
             # otherwise — the mode with bit-for-bit counter parity versus
             # get_algorithm calls.  Parallel knobs (prefix size, growth)
             # use fixed defaults so pinned plans stay a pure function of
             # the caller's arguments.
             workers=resolved_workers,
-            parallel_strategy=strategy,
             prefix_size=prefix_size,
             block_growth=growth,
             adaptive=False,
             host_options=host_options,
             reasons=tuple(reasons),
         )
-
-    @staticmethod
-    def _resolve_strategy(
-        workers: int,
-        parallel_strategy: str | None,
-        prefix_size: int,
-        growth: float,
-    ) -> tuple[str, int, float]:
-        """Normalise the parallel knobs for a resolved worker count."""
-        if workers <= 1:
-            return "none", 0, 1.0
-        strategy = parallel_strategy if parallel_strategy is not None else "prefix"
-        if strategy == "even":
-            # The legacy PR 5 split: even row ranges, no pruning exchange.
-            return "even", 0, 1.0
-        return "prefix", prefix_size, growth
 
     # -- adaptive mode ------------------------------------------------------
 
@@ -286,9 +253,7 @@ class Planner:
         *,
         container: str,
         pivot_strategy: str,
-        memoize: bool,
         workers: int | None,
-        parallel_strategy: str | None,
         incremental: bool | None,
         host_options: tuple[tuple[str, object], ...],
         counter: DominanceCounter | None,
@@ -324,9 +289,7 @@ class Planner:
         if boosted:
             resolved_sigma = self._select_sigma(prepared, host, sigma, reasons)
         resolved_workers = self._select_workers(stats, workers, reasons)
-        strategy, prefix_size, growth = self._select_parallel(
-            stats, resolved_workers, parallel_strategy, reasons
-        )
+        prefix_size, growth = self._select_parallel(stats, resolved_workers, reasons)
 
         return Plan(
             algorithm=host,
@@ -334,9 +297,7 @@ class Planner:
             sigma=resolved_sigma,
             container=container,
             pivot_strategy=pivot_strategy,
-            memoize=memoize,
             workers=resolved_workers,
-            parallel_strategy=strategy,
             prefix_size=prefix_size,
             block_growth=growth,
             adaptive=True,
@@ -507,10 +468,9 @@ class Planner:
         self,
         stats: DatasetStatistics,
         workers: int,
-        parallel_strategy: str | None,
         reasons: list[str],
-    ) -> tuple[str, int, float]:
-        """Strategy, prefix size and block growth for ``workers`` blocks.
+    ) -> tuple[int, float]:
+        """Prefix size and block growth for ``workers`` blocks.
 
         The prefix grows with the cube root of the expected skyline —
         enough extra pruning points to keep coverage on skyline-heavy data
@@ -520,10 +480,7 @@ class Planner:
         can be larger without unbalancing the per-block scan work.
         """
         if workers <= 1:
-            return "none", 0, 1.0
-        if parallel_strategy == "even":
-            reasons.append("parallel strategy 'even' pinned by caller")
-            return "even", 0, 1.0
+            return 0, 1.0
         prefix_size = min(
             _MAX_PREFIX,
             max(_MIN_PREFIX, int(round(stats.expected_skyline ** (1.0 / 3.0)))),
@@ -536,7 +493,7 @@ class Planner:
             f"block before its local scan; sort-order blocks grow x{growth:g} "
             f"(expected skyline {stats.expected_skyline:.0f})"
         )
-        return "prefix", prefix_size, growth
+        return prefix_size, growth
 
     def _select_sigma(
         self,

@@ -14,11 +14,10 @@ pruning that partition-parallel skylines need to beat a serial scan
    worker, which vectorised-filters its block against the prefix before
    running the local scan.  Only non-skyline points are ever removed, so
    results stay bit-identical to serial; the redundancy of every block
-   re-discovering the same strong points is gone.  Under sort-order
-   partitioning the *head* block skips the filter: the prefix points are
-   its own rows, so its local skyline is unchanged by the filter, and its
-   rows are exactly the strong entropy-head points where the filter's
-   per-survivor charge is maximal.
+   re-discovering the same strong points is gone.  The *head* block
+   skips the filter: the prefix points are its own rows, so its local
+   skyline is unchanged by the filter, and its rows are exactly the strong
+   entropy-head points where the filter's per-survivor charge is maximal.
 2. **sort-order partitioning**: blocks are cut along the same monotone
    order (shared with workers through a cached shared-memory segment), so
    the head block holds the dense part of the skyline and later blocks are
@@ -33,12 +32,11 @@ pruning that partition-parallel skylines need to beat a serial scan
    ``np.linspace`` split.
 4. **seeded merge fast path**: the union of local-skyline ids is built
    with ``np.concatenate`` + ``np.sort`` (:func:`assemble_candidates`),
-   and under sort-order partitioning the merge scan is *seeded*: the
-   monotone order guarantees a point is never dominated by a later-ranked
-   point, so the first sub-block's local skyline points are global skyline
-   points outright — they enter the merge container test-free and only
-   the other blocks' candidates are scanned against them
-   (:func:`_seeded_union_skyline`).
+   and the merge scan is *seeded*: the monotone order guarantees a point
+   is never dominated by a later-ranked point, so the first sub-block's
+   local skyline points are global skyline points outright — they enter
+   the merge container test-free and only the other blocks' candidates
+   are scanned against them (:func:`_seeded_union_skyline`).
 
 Correctness is immediate: a globally undominated point is undominated in
 its own block and never dominated by a prefix point (prefix points are
@@ -51,10 +49,10 @@ Execution model
 Work runs on a persistent :class:`SkylineWorkerPool`.  Instead of pickling
 the coordinate array into every worker on every call, the pool copies each
 distinct dataset once into a ``multiprocessing.shared_memory`` segment
-(plus one segment for its scan order under sort-order partitioning);
-workers attach by name and read only their ``[lo, hi)`` slice.  The prefix
-itself is a ``size × d`` array of at most a few KB, so it ships inside the
-task tuple — cheaper than a segment round-trip.  Repeated calls over the
+(plus one segment for its scan order); workers attach by name and read
+only their ``[lo, hi)`` range of the order.  The prefix itself is a
+``size × d`` array of at most a few KB, so it ships inside the task tuple
+— cheaper than a segment round-trip.  Repeated calls over the
 same dataset reuse the processes and both segments — observable through
 :attr:`SkylineWorkerPool.stats`.
 """
@@ -158,7 +156,7 @@ def _shm_local_skyline(
         str,
         tuple[int, ...],
         str,
-        str | None,
+        str,
         int,
         int,
         str,
@@ -168,15 +166,15 @@ def _shm_local_skyline(
 ) -> tuple[np.ndarray, int, int, float]:
     """Worker: survivor ids, test count, pruned count and wall time of one block.
 
-    The block is sliced (or gathered through the shared scan order) out of
-    the shared segments and copied before they are detached, so the compute
-    phase never holds shared pages.  ``prefix`` rows filter the block ahead
-    of the local scan; pruned points are charged their early-exit tests and
-    never reach the local algorithm.  With ``defer`` set (sort-order
-    partitioning, non-head blocks) a well-filtered block skips the local
-    scan entirely: its survivors are skyline-dense, so a local scan would
-    re-verify points the seeded merge must scan against the head-block
-    seeds anyway — the filter is the block's whole map-phase contribution.
+    The block is gathered through the shared scan order out of the shared
+    segments and copied before they are detached, so the compute phase
+    never holds shared pages.  ``prefix`` rows filter the block ahead of
+    the local scan; pruned points are charged their early-exit tests and
+    never reach the local algorithm.  With ``defer`` set (non-head
+    blocks) a well-filtered block skips the local scan entirely: its
+    survivors are skyline-dense, so a local scan would re-verify points
+    the seeded merge must scan against the head-block seeds anyway — the
+    filter is the block's whole map-phase contribution.
 
     The returned wall time covers the worker-side body (segment slice,
     prefix filter, local scan); the parent folds the per-block times into
@@ -202,19 +200,13 @@ def _shm_local_skyline(
     shm = shared_memory.SharedMemory(name=shm_name)
     try:
         values = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-        if order_name is not None:
-            order_shm = shared_memory.SharedMemory(name=order_name)
-            try:
-                order = np.ndarray(
-                    (shape[0],), dtype=np.intp, buffer=order_shm.buf
-                )
-                ids = np.array(order[lo:hi], copy=True)
-            finally:
-                order_shm.close()
-            block = values[ids]  # fancy index: already a fresh copy
-        else:
-            ids = np.arange(lo, hi, dtype=np.intp)
-            block = np.array(values[lo:hi], copy=True)
+        order_shm = shared_memory.SharedMemory(name=order_name)
+        try:
+            order = np.ndarray((shape[0],), dtype=np.intp, buffer=order_shm.buf)
+            ids = np.array(order[lo:hi], copy=True)
+        finally:
+            order_shm.close()
+        block = values[ids]  # fancy index: already a fresh copy
     finally:
         shm.close()
     counter = DominanceCounter()
@@ -380,36 +372,30 @@ class SkylineWorkerPool:
     def map_blocks(
         self,
         values: np.ndarray,
+        order: np.ndarray,
         pairs: list[tuple[int, int]],
         algorithm: str,
-        order: np.ndarray | None = None,
         prefix: np.ndarray | None = None,
-        filter_head: bool = True,
-        defer_tail: bool = False,
         head_blocks: int = 1,
         processes: int | None = None,
     ) -> list[tuple[np.ndarray, int, int, float]]:
-        """Survivor ids of each ``(lo, hi)`` block, with test/pruned counts
-        and the block's worker-side wall time.
+        """Survivor ids of each ``(lo, hi)`` range of the scan ``order``,
+        with test/pruned counts and the block's worker-side wall time.
 
-        ``order`` switches the blocks from row ranges to ranges of the
-        shared scan order; ``prefix`` rows filter every block worker-side
-        before its local scan.  ``filter_head=False`` exempts the first
-        block — under sort-order partitioning the prefix points are head
-        rows, so the head's local skyline is provably unchanged by the
-        filter and only its charge would remain.  ``defer_tail=True`` lets
-        every block from index ``head_blocks`` on skip its local scan when
-        the filter pruned well (see :data:`_DEFER_SURVIVOR_FRACTION`); the
-        deferred survivors are resolved once by the caller's seeded merge.
-        The first ``head_blocks`` tasks (the subdivided head region) always
+        ``prefix`` rows filter every block but the first worker-side
+        before its local scan: the prefix points are first-block rows, so
+        that block's local skyline is provably unchanged by the filter and
+        only its charge would remain.  Every block from index
+        ``head_blocks`` on skips its local scan when the filter pruned
+        well (see :data:`_DEFER_SURVIVOR_FRACTION`); the deferred
+        survivors are resolved once by the caller's seeded merge.  The
+        first ``head_blocks`` tasks (the subdivided head region) always
         run their local scans — their survivors feed the merge directly.
         ``processes`` caps the pool size; surplus tasks queue behind the
         cap instead of growing the pool.
         """
         name = self._segment_for(values)
-        order_name = (
-            self._order_segment_for(values, order) if order is not None else None
-        )
+        order_name = self._order_segment_for(values, order)
         shape, dtype = values.shape, str(values.dtype)
         tasks = [
             (
@@ -420,8 +406,8 @@ class SkylineWorkerPool:
                 int(lo),
                 int(hi),
                 algorithm,
-                prefix if (filter_head or index > 0) else None,
-                defer_tail and index >= head_blocks,
+                prefix if index > 0 else None,
+                index >= head_blocks,
             )
             for index, (lo, hi) in enumerate(pairs)
         ]
@@ -488,8 +474,8 @@ def _seeded_union_skyline(
     """Skyline of ``union`` with ``seed_positions`` accepted test-free.
 
     ``seed_positions`` (union-local row indices, strongest first) must be
-    known global skyline points — under sort-order partitioning the head
-    block's local skyline qualifies: the monotone order guarantees no
+    known global skyline points — the head block's local skyline
+    qualifies: the monotone order guarantees no
     later-ranked point dominates an earlier-ranked one, so a point
     undominated within the head block is undominated globally.  Seeds are
     planted in the scan container before any test; only the non-seed rows
@@ -520,9 +506,7 @@ def _seeded_union_skyline(
         masks[merged.remaining_ids] = merged.masks
         store: SkylineContainer
         if algorithm.container == "subset":
-            store = SubsetContainer(
-                union.values, d, counter, memoize=algorithm.memoize
-            )
+            store = SubsetContainer(union.values, d, counter)
         else:
             store = ListContainer(union.values)
         remaining = np.zeros(n, dtype=bool)
@@ -592,12 +576,14 @@ def parallel_skyline(
     merge_algorithm: str = "sfs",
     counter: DominanceCounter | None = None,
     pool: SkylineWorkerPool | None = None,
-    partition: str = "sorted",
     prefix_size: int | None = None,
     block_growth: float = 1.0,
     order: np.ndarray | None = None,
 ) -> np.ndarray:
     """Compute the skyline with ``workers`` processes; returns sorted row ids.
+
+    Blocks are cut along the monotone entropy order, so the skyline-dense
+    head lands in the first block.
 
     Parameters
     ----------
@@ -613,10 +599,6 @@ def parallel_skyline(
         A :class:`SkylineWorkerPool` to run on; defaults to the shared
         process-wide pool, so consecutive calls reuse workers and the
         dataset's shared-memory segments.
-    partition:
-        ``"sorted"`` (default) cuts blocks along the monotone entropy
-        order so the skyline-dense head lands in the first block;
-        ``"even"`` is the PR 5 row-range split.
     prefix_size:
         Shared-survivor prefix points broadcast to every worker; ``0``
         disables the exchange, ``None`` uses the default
@@ -636,10 +618,6 @@ def parallel_skyline(
         workers = default_workers()
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    if partition not in ("sorted", "even"):
-        raise InvalidParameterError(
-            f"partition must be 'sorted' or 'even', got {partition!r}"
-        )
     if prefix_size is not None and prefix_size < 0:
         raise InvalidParameterError(
             f"prefix_size must be >= 0, got {prefix_size}"
@@ -660,15 +638,12 @@ def parallel_skyline(
     with tracer.span(
         "parallel.prefix",
         counter=counter,
-        partition=partition,
         prefix_size=size,
         n=n,
     ) as prefix_span:
-        need_order = partition == "sorted" or size > 0
-        if order is None and need_order:
+        if order is None:
             order = monotone_order(values)
         if size > 0:
-            assert order is not None
             prefix_ids = select_prefix(values, order, size, counter)
             prefix = np.array(values[prefix_ids], copy=True)
         else:
@@ -677,24 +652,23 @@ def parallel_skyline(
 
     pairs = block_bounds(n, workers, block_growth)
     head_blocks = 1
-    if partition == "sorted":
-        # Subdivide the head region into even sub-blocks: the head holds
-        # the skyline-dense rows whose local scan dominates the map
-        # phase's wall clock, and an even split spreads it across every
-        # worker.  Only the first sub-block skips the prefix filter (its
-        # rows contain the prefix points); none of them ever defer —
-        # their local skylines feed the seeded merge.
-        head_lo, head_hi = pairs[0]
-        head_rows = head_hi - head_lo
-        splits = min(workers, max(1, head_rows // _MIN_HEAD_SUB_ROWS))
-        if n < _HEAD_SPLIT_MIN_N:
-            splits = 1
-        if splits > 1:
-            pairs = [
-                (head_lo + lo, head_lo + hi)
-                for lo, hi in block_bounds(head_rows, splits, 1.0)
-            ] + pairs[1:]
-            head_blocks = splits
+    # Subdivide the head region into even sub-blocks: the head holds the
+    # skyline-dense rows whose local scan dominates the map phase's wall
+    # clock, and an even split spreads it across every worker.  Only the
+    # first sub-block skips the prefix filter (its rows contain the prefix
+    # points); none of them ever defer — their local skylines feed the
+    # seeded merge.
+    head_lo, head_hi = pairs[0]
+    head_rows = head_hi - head_lo
+    splits = min(workers, max(1, head_rows // _MIN_HEAD_SUB_ROWS))
+    if n < _HEAD_SPLIT_MIN_N:
+        splits = 1
+    if splits > 1:
+        pairs = [
+            (head_lo + lo, head_lo + hi)
+            for lo, hi in block_bounds(head_rows, splits, 1.0)
+        ] + pairs[1:]
+        head_blocks = splits
     pool = pool if pool is not None else get_pool(workers)
     events = current_event_log()
     if events.enabled:
@@ -703,7 +677,6 @@ def parallel_skyline(
             blocks=len(pairs),
             workers=workers,
             algorithm=algorithm,
-            partition=partition,
             n=n,
         )
     with tracer.span(
@@ -712,17 +685,14 @@ def parallel_skyline(
         blocks=len(pairs),
         head_blocks=head_blocks,
         algorithm=algorithm,
-        partition=partition,
         n=n,
     ) as map_span:
         locals_ = pool.map_blocks(
             values,
+            order,
             pairs,
             algorithm,
-            order=order if partition == "sorted" else None,
             prefix=prefix,
-            filter_head=partition != "sorted",
-            defer_tail=partition == "sorted",
             head_blocks=head_blocks,
             processes=workers,
         )
@@ -757,27 +727,22 @@ def parallel_skyline(
         candidates=int(candidates.size),
         algorithm=merge_algorithm,
     ) as merge_span:
-        local_skyline: np.ndarray | None = None
-        seed_positions: np.ndarray | None = None
-        if partition == "sorted":
-            # First-sub-block survivors are global skyline points (the
-            # monotone order admits no later-ranked dominator), so they
-            # seed the merge container test-free — strongest rank first —
-            # and only the other blocks' candidates are scanned.
-            head = np.sort(parts[0])
-            assert order is not None
-            rank = np.empty(n, dtype=np.intp)
-            rank[order] = np.arange(n, dtype=np.intp)
-            seed_positions = np.searchsorted(candidates, head)
-            seed_positions = seed_positions[np.argsort(rank[head])]
-            merge_span.set(seeds=int(seed_positions.size))
+        # First-sub-block survivors are global skyline points (the
+        # monotone order admits no later-ranked dominator), so they seed
+        # the merge container test-free — strongest rank first — and only
+        # the other blocks' candidates are scanned.
+        head = np.sort(parts[0])
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n, dtype=np.intp)
+        seed_positions = np.searchsorted(candidates, head)
+        seed_positions = seed_positions[np.argsort(rank[head])]
+        merge_span.set(seeds=int(seed_positions.size))
         union = Dataset(
             dataset.values[candidates], name=f"{dataset.name}[union]"
         )
-        if seed_positions is not None:
-            local_skyline = _seeded_union_skyline(
-                union, seed_positions, merge_algorithm, counter
-            )
+        local_skyline = _seeded_union_skyline(
+            union, seed_positions, merge_algorithm, counter
+        )
         if local_skyline is None:
             merged = get_algorithm(merge_algorithm).compute(union, counter=counter)
             local_skyline = np.asarray(merged.indices, dtype=np.intp)

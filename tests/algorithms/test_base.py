@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.base import SkylineAlgorithm, monotone_order, run_timed
+from repro.algorithms.base import SkylineAlgorithm, lexsort_order, run_timed
 from repro.dataset import Dataset
 from repro.errors import ReproError
 from repro.stats.counters import DominanceCounter
@@ -50,22 +50,24 @@ class TestRunTimed:
 
 
 class TestMonotoneOrder:
+    """``lexsort_order``: ids by a monotone key, ties by a second key."""
+
     def test_primary_key_ascending(self):
         keys = np.array([3.0, 1.0, 2.0])
         ties = np.zeros(3)
-        order = monotone_order(keys, ties, np.arange(3, dtype=np.intp))
+        order = lexsort_order(keys, ties, np.arange(3, dtype=np.intp))
         assert list(order) == [1, 2, 0]
 
     def test_tiebreak_applied_on_equal_keys(self):
         keys = np.array([1.0, 1.0, 1.0])
         ties = np.array([2.0, 0.0, 1.0])
-        order = monotone_order(keys, ties, np.arange(3, dtype=np.intp))
+        order = lexsort_order(keys, ties, np.arange(3, dtype=np.intp))
         assert list(order) == [1, 2, 0]
 
     def test_subset_of_ids(self):
         keys = np.array([5.0, 4.0, 3.0, 2.0])
         ties = np.zeros(4)
-        order = monotone_order(keys, ties, np.array([0, 2], dtype=np.intp))
+        order = lexsort_order(keys, ties, np.array([0, 2], dtype=np.intp))
         assert list(order) == [2, 0]
 
 

@@ -1,9 +1,11 @@
-"""Batched scan phase vs the scalar reference path: bit-identical results.
+"""The production boosted scan vs its scalar oracles: bit-identical results.
 
-The vectorised candidate gathering (contiguous blocks in the container,
-sorted views in SDI, memoized index queries) is a pure execution-strategy
-change — skylines *and* charged dominance-test counts must match the
-scalar path exactly on every distribution.
+Production gathers candidates from the memoized subset index and runs
+SDI's prefix test on incrementally repaired sorted views.  The oracles in
+``tests/oracles/`` do neither: an unmemoized container over the Figure 3
+map tree and SDI's filter-then-sort prefix test.  That is a pure
+execution-strategy difference, so skylines *and* charged dominance-test
+counts must match exactly on every distribution.
 """
 
 import numpy as np
@@ -15,18 +17,24 @@ from hypothesis.extra import numpy as hnp
 from repro.algorithms.salsa import SaLSa
 from repro.algorithms.sdi import SDI
 from repro.algorithms.sfs import SFS
-from repro.core.boost import SubsetBoost
+from repro.core.boost import run_boosted_scan
 from repro.data import generate
+from repro.dataset import Dataset
 from repro.dominance import first_dominator, first_dominator_prefix
 from repro.stats.counters import DominanceCounter
+from tests.oracles.scalar_scan import ScalarSDI, boosted_scan
 
 KINDS = ("UI", "CO", "AC")
 
 
-def _run(boost, dataset):
+def _production(host, dataset):
     counter = DominanceCounter()
-    result = boost.compute(dataset, counter=counter)
-    return list(result.indices), counter.tests
+    return run_boosted_scan(dataset, host, counter), counter.tests
+
+
+def _oracle(host, dataset):
+    counter = DominanceCounter()
+    return boosted_scan(dataset, host, counter), counter.tests
 
 
 class TestBatchedEqualsScalar:
@@ -34,17 +42,13 @@ class TestBatchedEqualsScalar:
     @pytest.mark.parametrize("seed", [1, 7])
     def test_sdi_subset(self, kind, seed):
         dataset = generate(kind, n=400, d=5, seed=seed)
-        batched = _run(SubsetBoost(SDI(batched=True), memoize=True), dataset)
-        scalar = _run(SubsetBoost(SDI(batched=False), memoize=False), dataset)
-        assert batched == scalar
+        assert _production(SDI(), dataset) == _oracle(ScalarSDI(), dataset)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("host", [SFS, SaLSa])
     def test_memoized_hosts(self, kind, host):
         dataset = generate(kind, n=400, d=5, seed=3)
-        memoized = _run(SubsetBoost(host(), memoize=True), dataset)
-        scalar = _run(SubsetBoost(host(), memoize=False), dataset)
-        assert memoized == scalar
+        assert _production(host(), dataset) == _oracle(host(), dataset)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -55,9 +59,8 @@ class TestBatchedEqualsScalar:
         )
     )
     def test_sdi_subset_on_random_data(self, values):
-        batched = _run(SubsetBoost(SDI(batched=True), memoize=True), values)
-        scalar = _run(SubsetBoost(SDI(batched=False), memoize=False), values)
-        assert batched == scalar
+        dataset = Dataset(values)
+        assert _production(SDI(), dataset) == _oracle(ScalarSDI(), dataset)
 
 
 class TestFirstDominatorPrefix:

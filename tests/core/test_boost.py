@@ -13,6 +13,7 @@ from repro.data import generate
 from repro.dataset import Dataset
 from repro.stats.counters import DominanceCounter
 from tests.conftest import brute_skyline_ids
+from tests.oracles.scalar_scan import boosted_scan
 
 
 class TestConstruction:
@@ -104,8 +105,15 @@ class TestEffectiveness:
         assert counter.index_nodes_visited >= counter.index_cache_misses > 0
 
     def test_unmemoized_queries_visit_nodes(self, ui_small):
+        # The unmemoized oracle walks the tree on every query, and answers
+        # with the production skyline at the same charged test count.
         counter = DominanceCounter()
-        SubsetBoost(SFS(), memoize=False).compute(ui_small, counter=counter)
+        oracle = boosted_scan(ui_small, SFS(), counter)
         assert counter.index_queries > 0
         assert counter.index_cache_hits == counter.index_cache_misses == 0
         assert counter.index_nodes_visited >= counter.index_queries
+        production = DominanceCounter()
+        result = SubsetBoost(SFS()).compute(ui_small, counter=production)
+        assert sorted(oracle) == result.indices.tolist()
+        assert production.tests == counter.tests
+        assert production.index_queries == counter.index_queries

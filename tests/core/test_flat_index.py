@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import boost
 from repro.core.boost import run_boosted_scan
-from repro.core.container import SubsetContainer
 from repro.core.subset_index import _COMPACT_MIN, SkylineIndex
 from repro.data import generate
 from repro.errors import DimensionMismatchError, InvalidParameterError
@@ -17,6 +15,7 @@ from repro.algorithms.sfs import SFS
 from repro.stats.counters import DominanceCounter
 from repro.structures import bitset
 from tests.oracles.map_index import SkylineIndex as MapIndex
+from tests.oracles.scalar_scan import boosted_scan as oracle_scan
 
 
 def brute_query(stored: list[tuple[int, int]], subspace: int) -> list[int]:
@@ -24,24 +23,12 @@ def brute_query(stored: list[tuple[int, int]], subspace: int) -> list[int]:
     return [pid for pid, mask in stored if subspace & ~mask == 0]
 
 
-class _MapContainer(SubsetContainer):
-    """A subset container whose candidates come from the Figure 3 tree."""
-
-    def __init__(self, values, d, counter=None, memoize=True):
-        super().__init__(values, d, counter, memoize=memoize)
-        self._index = MapIndex(d, memoize=memoize)
-
-    def candidates(self, mask):
-        ids = self._index.query_array(mask, self._counter)
-        return ids, self._values[ids]
-
-
 def boosted_scan(dataset, host, on_map_oracle, **kwargs):
-    """``run_boosted_scan`` on the production index or on the map oracle."""
+    """The production boosted scan, or its twin over the memoized map tree."""
     counter = DominanceCounter()
-    with pytest.MonkeyPatch.context() as patch:
-        if on_map_oracle:
-            patch.setattr(boost, "SubsetContainer", _MapContainer)
+    if on_map_oracle:
+        skyline = oracle_scan(dataset, host, counter, memoize=True, **kwargs)
+    else:
         skyline = run_boosted_scan(dataset, host, counter, **kwargs)
     return skyline, counter
 
@@ -76,7 +63,8 @@ class TestPutQuery:
         idx = SkylineIndex(d=3)
         counter = DominanceCounter()
         assert idx.query(0b101, counter) == []
-        assert idx.query_array(0b101).tolist() == []
+        ids, rows = SkylineIndex(d=3, values=np.zeros((2, 3))).candidates(0b101)
+        assert ids.tolist() == [] and rows.shape == (0, 3)
         assert len(idx) == 0
         assert idx.node_count() == 0
 

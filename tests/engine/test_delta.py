@@ -213,3 +213,16 @@ class TestEnginePath:
         assert not result.plan.incremental
         mutated = _mutated_values(ui_small.values, inserts, deletes)
         assert sorted(result.indices.tolist()) == brute_skyline_ids(mutated)
+
+    def test_raw_array_rejected(self, ui_small):
+        # execute(ndarray) prepares a fresh copy per call, so a delta on a
+        # raw array would be unreachable: apply_delta refuses it up front.
+        values = ui_small.values
+        engine = SkylineEngine()
+        before = engine.execute(values).indices.tolist()
+        prepared_before = engine.context.prepared_count
+        with pytest.raises(InvalidParameterError, match="Dataset"):
+            engine.apply_delta(values, inserts=[[0.0] * values.shape[1]])
+        assert engine.context.prepared_count == prepared_before
+        assert engine.context.deltas_recorded == 0
+        assert engine.execute(values).indices.tolist() == before

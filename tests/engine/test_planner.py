@@ -167,8 +167,8 @@ class TestPlanRendering:
         keys = {boosted.sort_cache_key, plain.sort_cache_key, other_sigma.sort_cache_key}
         assert len(keys) == 3
 
-    def test_sort_cache_key_ignores_container_and_memoize(self, ui_medium):
+    def test_sort_cache_key_ignores_container(self, ui_medium):
         subset = plan_for(ui_medium, "sfs-subset", container="subset")
-        listy = plan_for(ui_medium, "sfs-subset", container="list", memoize=False)
+        listy = plan_for(ui_medium, "sfs-subset", container="list")
         assert subset.sort_cache_key == listy.sort_cache_key
 

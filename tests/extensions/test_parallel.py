@@ -57,6 +57,14 @@ class TestParallelSkyline:
         )
         assert list(got) == brute_skyline_ids(dataset.values)
 
+    def test_unboostable_merge_algorithm(self, dataset):
+        # BNL has no seedable scan container: the union merge runs it
+        # unseeded over every candidate.
+        got = parallel_skyline(
+            dataset, workers=2, algorithm="sfs-subset", merge_algorithm="bnl"
+        )
+        assert list(got) == brute_skyline_ids(dataset.values)
+
     def test_boosted_blocks_with_flat_merge(self, dataset):
         """Local boosted scans + merge through one flat subset index."""
         got = parallel_skyline(
@@ -80,15 +88,13 @@ class TestParallelSkyline:
         got = parallel_skyline(dataset)
         assert list(got) == brute_skyline_ids(dataset.values)
 
-    @pytest.mark.parametrize("partition", ["sorted", "even"])
     @pytest.mark.parametrize("prefix_size", [0, 4, None])
-    def test_partition_and_prefix_matrix(self, dataset, partition, prefix_size):
+    def test_prefix_size_matrix(self, dataset, prefix_size):
         got = parallel_skyline(
             dataset,
             workers=3,
             algorithm="sfs-subset",
             merge_algorithm="sfs-subset",
-            partition=partition,
             prefix_size=prefix_size,
         )
         assert list(got) == brute_skyline_ids(dataset.values)
@@ -96,10 +102,6 @@ class TestParallelSkyline:
     def test_block_growth_preserves_results(self, dataset):
         got = parallel_skyline(dataset, workers=3, block_growth=2.0)
         assert list(got) == brute_skyline_ids(dataset.values)
-
-    def test_invalid_partition_rejected(self, dataset):
-        with pytest.raises(InvalidParameterError):
-            parallel_skyline(dataset, workers=2, partition="striped")
 
     def test_negative_prefix_size_rejected(self, dataset):
         with pytest.raises(InvalidParameterError):
@@ -185,17 +187,10 @@ class TestWorkerPoolReuse:
 
     def test_order_segment_created_once(self, dataset):
         with SkylineWorkerPool(workers=2) as pool:
-            parallel_skyline(dataset, workers=2, pool=pool, partition="sorted")
-            parallel_skyline(dataset, workers=2, pool=pool, partition="sorted")
+            parallel_skyline(dataset, workers=2, pool=pool)
+            parallel_skyline(dataset, workers=2, pool=pool)
             assert pool.stats["order_segments_created"] == 1
             assert pool.stats["segments_created"] == 1
-
-    def test_even_partition_needs_no_order_segment(self, dataset):
-        with SkylineWorkerPool(workers=2) as pool:
-            parallel_skyline(
-                dataset, workers=2, pool=pool, partition="even", prefix_size=0
-            )
-            assert pool.stats["order_segments_created"] == 0
 
 
 class TestTracedSpans:
@@ -205,9 +200,7 @@ class TestTracedSpans:
         from repro.obs import Tracer, aggregate_phases
 
         engine = SkylineEngine(ExecutionContext(tracer=Tracer()))
-        result = engine.execute(
-            dataset, "sfs-subset", workers=2, parallel_strategy="prefix"
-        )
+        result = engine.execute(dataset, "sfs-subset", workers=2)
         engine.close()
         phases = {phase.name for phase in aggregate_phases(result.trace)}
         assert {"parallel.prefix", "parallel.map", "parallel.merge"} <= phases

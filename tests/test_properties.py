@@ -141,27 +141,24 @@ def test_skyline_invariant_under_positive_affine_maps(values, shift, scale):
 @settings(max_examples=10, deadline=None)
 @given(datasets)
 def test_parallel_bridge_matches_serial(values):
-    """Prune-aware block-parallel == serial, across partitions and mergers.
+    """Prune-aware block-parallel == serial, across merge algorithms.
 
-    Covers both partitioning modes (sort-order with the prefix exchange
-    and seeded merge, plus the legacy even split) and both boosted merge
-    algorithms — every combination must reproduce the oracle skyline bit
-    for bit.
+    Sort-order blocks with the prefix exchange and the seeded merge, under
+    both boosted merge algorithms — every combination must reproduce the
+    oracle skyline bit for bit.
     """
     from repro.extensions.parallel import get_pool, parallel_skyline
 
     expected = brute_skyline_ids(values)
     pool = get_pool(3)
-    for partition in ("sorted", "even"):
-        for merge_algorithm in ("sfs-subset", "sdi-subset"):
-            got = parallel_skyline(
-                values,
-                workers=3,
-                algorithm="sdi-subset",
-                merge_algorithm=merge_algorithm,
-                partition=partition,
-                pool=pool,
-            )
-            assert list(got) == expected, (
-                f"parallel({partition}, {merge_algorithm}) disagrees with serial"
-            )
+    for merge_algorithm in ("sfs-subset", "sdi-subset"):
+        got = parallel_skyline(
+            values,
+            workers=3,
+            algorithm="sdi-subset",
+            merge_algorithm=merge_algorithm,
+            pool=pool,
+        )
+        assert list(got) == expected, (
+            f"parallel({merge_algorithm}) disagrees with serial"
+        )
