@@ -2,8 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install install-dev test test-fast bench bench-incremental \
-        bench-check experiments report examples lint typecheck analyze \
-        analyze-baseline clean
+        bench-check perfbench-selftest experiments report examples lint \
+        typecheck analyze analyze-baseline clean
 
 install:
 	$(PYTHON) -m pip install -e ".[test]"
@@ -32,6 +32,13 @@ bench-incremental:
 bench-check:
 	$(PYTHON) benchmarks/bench_throughput.py --only repeated_queries --only incremental_repair --out .bench-fresh.json
 	$(PYTHON) -m repro.obs.regress --history BENCH_throughput.json --fresh .bench-fresh.json
+
+# Self-test of the repo benchmark (perfbench/): every workload, untraced
+# and traced, must emit exactly the metrics BENCHMARK.json declares with
+# every answer checked, and an injected wrong answer must be counted as a
+# failed operation.  Smoke-sized; non-zero exit on any failure.
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 experiments:
 	$(PYTHON) -m repro.bench all

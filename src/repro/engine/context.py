@@ -102,15 +102,21 @@ class ExecutionContext:
         immutable), so repeated calls with the same dataset — or with the
         prepared object itself — return the same caches.  The registry
         holds strong references; evicted entries simply lose their caches.
+
+        A raw array is copied into a fresh :class:`Dataset` on every call,
+        so its key could never hit again: it gets a transient prepared
+        form that is not registered.  Reusing caches across calls needs a
+        ``Dataset`` or ``PreparedDataset`` handle.
         """
         if isinstance(data, PreparedDataset):
             return data
-        dataset = as_dataset(data)
-        key = id(dataset.values)
+        if not isinstance(data, Dataset):
+            return PreparedDataset(as_dataset(data))
+        key = id(data.values)
         prepared = self._prepared.get(key)
         if prepared is not None:
             return prepared
-        prepared = PreparedDataset(dataset)
+        prepared = PreparedDataset(data)
         while len(self._prepared) >= self._max_prepared:
             del self._prepared[next(iter(self._prepared))]
         self._prepared[key] = prepared

@@ -67,8 +67,10 @@ __all__ = ["DatasetStatistics", "PreparedDataset"]
 _T = TypeVar("_T")
 
 #: Above this cardinality the exact harmonic-number dynamic program for the
-#: expected skyline size is replaced by its closed-form asymptotic — the DP
-#: is O(d·n) in pure Python and preparation must stay cheap.
+#: expected skyline size is replaced by its closed-form asymptotic.  The
+#: limit fixes which estimate every planner signal is built from, and it
+#: bounds the O(d·n) cost each statistics miss (a fresh view, or the first
+#: read after a delta) pays.
 _EXACT_ESTIMATE_LIMIT = 50_000
 
 #: Entries kept per artefact cache before FIFO eviction.  Each Merge result
@@ -96,7 +98,12 @@ _REPAIRABLE_SORT_KEYS = frozenset({"order", "keys", "ties"})
 
 @dataclass(frozen=True)
 class DatasetStatistics:
-    """Estimator signals the planner consumes, computed once per dataset.
+    """Estimator signals the planner consumes, computed lazily per dataset.
+
+    :meth:`PreparedDataset.statistics` computes them on first use and
+    caches them.  Every ``apply_delta`` that changes the rows (repair or
+    recompute) drops that cache, so the signals are recomputed lazily
+    from the mutated values on the next plan.
 
     Attributes
     ----------
@@ -218,7 +225,7 @@ class PreparedDataset:
     # -- cached artefacts ---------------------------------------------------
 
     def statistics(self, counter: DominanceCounter | None = None) -> DatasetStatistics:
-        """The planner's estimator signals, computed once and cached."""
+        """The planner's estimator signals, cached until the next delta."""
         if self._statistics is not None:
             self._record(counter, hit=True)
             return self._statistics

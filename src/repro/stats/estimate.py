@@ -27,7 +27,11 @@ from repro.errors import InvalidParameterError
 def expected_skyline_size(n: int, d: int) -> float:
     """``E[|skyline|] = H_{d-1, n}`` under uniform independence.
 
-    Exact O(d·n) dynamic program over the harmonic recurrence.
+    Exact O(d·n) dynamic program over the harmonic recurrence, run as
+    ``d - 1`` cumulative-sum passes: pass ``k`` maps the prefix vector
+    ``H_{k-1, 1..n}`` to ``H_{k, 1..n} = cumsum(H_{k-1, i} / i)``.
+    ``np.cumsum`` adds strictly left to right, so every ``H_{k, i}`` is
+    the same float a scalar running sum produces.
 
     >>> expected_skyline_size(100, 1)
     1.0
@@ -39,15 +43,11 @@ def expected_skyline_size(n: int, d: int) -> float:
     if d < 1:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
     # current[i-1] holds H_{k, i}; start with H_0 = 1 for every prefix.
-    current = [1.0] * n
+    current = np.ones(n, dtype=np.float64)
+    divisors = np.arange(1, n + 1, dtype=np.float64)
     for _ in range(d - 1):
-        running = 0.0
-        previous = current
-        current = []
-        for i in range(1, n + 1):
-            running += previous[i - 1] / i
-            current.append(running)
-    return current[n - 1]
+        current = np.cumsum(current / divisors)
+    return float(current[n - 1])
 
 
 def expected_skyline_size_asymptotic(n: int, d: int) -> float:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.engine import ExecutionContext, PreparedDataset
+from repro.dataset import Dataset
+from repro.engine import ExecutionContext, PreparedDataset, SkylineEngine
 from repro.errors import InvalidParameterError
 from repro.stats.counters import DominanceCounter
 
@@ -24,11 +25,20 @@ class TestPreparedRegistry:
     def test_fifo_eviction(self):
         rng = np.random.default_rng(0)
         context = ExecutionContext(max_prepared=2)
-        datasets = [rng.random((20, 3)) for _ in range(3)]
-        prepared = [context.prepare(values) for values in datasets]
+        datasets = [Dataset(rng.random((20, 3))) for _ in range(3)]
+        prepared = [context.prepare(dataset) for dataset in datasets]
         assert context.prepared_count == 2
         # The first entry was evicted: re-preparing builds a fresh object.
         assert context.prepare(datasets[0]) is not prepared[0]
+
+    def test_raw_array_executes_do_not_fill_the_registry(self, ui_small):
+        # A raw array is copied afresh on every call, so registering it
+        # could never hit: it is prepared transiently instead.
+        expected = SkylineEngine().execute(ui_small).indices.tolist()
+        engine = SkylineEngine()
+        for _ in range(4):
+            assert engine.execute(ui_small.values).indices.tolist() == expected
+        assert engine.context.prepared_count == 0
 
     def test_max_prepared_validated(self):
         with pytest.raises(InvalidParameterError):

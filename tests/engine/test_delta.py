@@ -1,5 +1,7 @@
 """Delta-repair tests: ``apply_delta``, planner cost model, engine path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,26 @@ class TestPlannerIncremental:
         assert "incremental delta-repair" in text
         assert "12 pending ops" in text
         assert "repair-vs-recompute" in text and "delta repair" in text
+
+    def test_statistics_after_repair_match_a_fresh_prepare(
+        self, ui_small, seeded_delta
+    ):
+        inserts, deletes = seeded_delta
+        engine = SkylineEngine()
+        engine.execute(ui_small)
+        prepared = engine.prepare(ui_small)
+        before = prepared.statistics()
+        assert prepared.apply_delta(inserts, deletes).mode == "repair"
+        after = prepared.statistics()
+        assert after is not before  # recomputed, not the pre-delta cache
+        fresh = PreparedDataset(prepared.dataset).statistics()
+        for field in dataclasses.fields(after):
+            assert getattr(after, field.name) == getattr(fresh, field.name), (
+                field.name
+            )
+        plan = engine.planner.plan(prepared, None, None)
+        assert plan.incremental
+        assert dict(plan.signals)["expected_skyline"] == after.expected_skyline
 
     def test_incremental_false_forces_full_plan(self, ui_small, seeded_delta):
         inserts, deletes = seeded_delta

@@ -1,12 +1,17 @@
 """Unit tests for the UI skyline-size estimator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.errors import InvalidParameterError
 from repro.stats.estimate import (
     expected_skyline_size,
     expected_skyline_size_asymptotic,
+)
+from tests.oracles.estimate import (
+    expected_skyline_size as reference_skyline_size,
 )
 
 
@@ -50,3 +55,21 @@ class TestHarmonicRecurrence:
             measured = sum(sizes) / len(sizes)
             predicted = expected_skyline_size(3000, d)
             assert 0.65 < predicted / measured < 1.35
+
+
+class TestCumsumMatchesScalarReference:
+    """The cumulative-sum passes reproduce the scalar loop float for float."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 12))
+    def test_matches_reference_exactly(self, n, d):
+        assert expected_skyline_size(n, d) == reference_skyline_size(n, d)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_largest_planner_call(self, d):
+        # n = 50_000 is the planner's exact-estimate limit.
+        assert expected_skyline_size(50_000, d) == reference_skyline_size(50_000, d)
+
+    def test_returns_python_float(self):
+        # The value lands in Plan.signals; an np.float64 would change its repr.
+        assert type(expected_skyline_size(10, 3)) is float
